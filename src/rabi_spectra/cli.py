@@ -14,8 +14,9 @@ import argparse
 import csv
 import io
 import json
-import os
+import re
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -27,16 +28,12 @@ from .modulation import (
     UnsupportedRegimeError,
 )
 from .models import (
-    AnisotropicTwoPhoton,
+    MODEL_TYPES,
     DegenerateParameterError,
-    IntensityDependent,
     ModelSpec,
     SectorLabel,
-    TwoPhoton,
-    TwoPhotonRabiStark,
     decomposition_check,
     jacobi_params,
-    model_name,
     predicted_phase,
     sectors,
 )
@@ -53,8 +50,37 @@ _REGIME_ERRORS = (
     PhaseStateError,
 )
 
+# larger inputs are rejected before any list is built
+MAX_GRID_POINTS = 10_000
+MAX_PARAMS_ROWS = 1_000_000
+
+_MODELS = {cls.name: cls for cls in MODEL_TYPES}
+# parameter names per model, in dataclass field order (also the meta order)
+_FIELDS = {name: tuple(f.name for f in fields(cls)) for name, cls in _MODELS.items()}
+# the value 'critical' of an option stands for exactly this
+_CRITICAL = {"g": 0.5, "kappa": 1.0}
+_DEFAULTS = {"delta": 0.0}
+
+
+def _param_help(param: str) -> str:
+    takers = ", ".join(name for name, names in _FIELDS.items() if param in names)
+    preset = f"; 'critical' for exactly {_CRITICAL[param]}" if param in _CRITICAL else ""
+    default = f" (default {_DEFAULTS[param]})" if param in _DEFAULTS else ""
+    return f"parameter {param} of: {takers}{preset}{default}"
+
+
+# one option per parameter of any model (g, delta, kappa, g_plus, g_minus), with its help
+_PARAMS = {p: _param_help(p) for names in _FIELDS.values() for p in names}
+
+# argparse before Python 3.12 takes -1e-05 for an option flag
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits 2 on usage errors by default; this tool reserves 2 for
     # regime errors
     def error(self, message):
@@ -62,47 +88,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("RABI_SPECTRA_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"RABI_SPECTRA_THREADS must be an integer, got {raw!r}")
-    return n if n > 1 else None
+def _flag(param: str) -> str:
+    return "--" + param.replace("_", "-")
 
 
-def _parse_coupling(text: str, name: str) -> float:
-    if text == "critical":
-        return 0.5
+def _number(param: str, text: str | float) -> float:
+    if text == "critical" and param in _CRITICAL:
+        return _CRITICAL[param]
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"--{name} expects a number or 'critical', got {text!r}")
-
-
-def _parse_kappa(text: str) -> float:
-    if text == "critical":
-        return 1.0
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"--kappa expects a number or 'critical', got {text!r}")
+        expected = "a number or 'critical'" if param in _CRITICAL else "a number"
+        raise ValueError(f"{_flag(param)} expects {expected}, got {text!r}")
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=("intensity", "two-photon", "anisotropic", "rabi-stark"),
-        help="which Hamiltonian to analyse",
-    )
-    p.add_argument("--g", help="coupling g (a number, or 'critical' for exactly 1/2)")
-    p.add_argument("--delta", type=float, default=0.0, help="level splitting (default 0)")
-    p.add_argument("--kappa", help="kappa parameter (a number, or 'critical' for exactly 1)")
-    p.add_argument("--g-plus", type=float, help="co-rotating coupling (anisotropic only)")
-    p.add_argument("--g-minus", type=float, help="counter-rotating coupling (anisotropic only)")
+    p.add_argument("--model", required=True, choices=tuple(_MODELS),
+                   help="which Hamiltonian to analyse")
+    for param, text in _PARAMS.items():
+        p.add_argument(_flag(param), default=_DEFAULTS.get(param), help=text)
     p.add_argument(
         "--on-circle",
         action="store_true",
@@ -110,41 +114,34 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_model(args: argparse.Namespace, g_value: float | None = None) -> ModelSpec:
+def _build_model(args: argparse.Namespace, **given: float) -> ModelSpec:
+    """The --model instance from its parameter options.
+
+    ``given`` supplies parameters that do not come from an option (the
+    collapse grid's coupling); a model without such a field ignores it.
+    Options for parameters the model does not have are rejected.
+    """
     name = args.model
-    if name == "anisotropic":
-        if args.g_plus is None or args.g_minus is None:
-            raise ValueError("anisotropic model requires --g-plus and --g-minus")
-        return AnisotropicTwoPhoton(g_plus=args.g_plus, g_minus=args.g_minus, delta=args.delta)
-
-    if g_value is None:
-        if args.on_circle:
-            if name != "rabi-stark":
-                raise ValueError("--on-circle applies to the rabi-stark model only")
-            if args.g is not None:
-                raise ValueError("--on-circle derives g from kappa; drop --g")
-            if args.kappa is None:
-                raise ValueError("--on-circle requires --kappa")
-            kap = _parse_kappa(args.kappa)
-            if abs(kap) >= 1.0:
-                raise ValueError("--on-circle requires |kappa| < 1")
-            g_value = float(np.sqrt(1.0 - kap * kap) / 2.0)
-        elif args.g is None:
-            raise ValueError(f"{name} model requires --g")
-        else:
-            g_value = _parse_coupling(args.g, "g")
-
-    if name == "intensity":
+    for param in _PARAMS:
+        if param not in _FIELDS[name] and getattr(args, param) is not None:
+            raise ValueError(f"the {name} model does not take {_flag(param)}")
+    if args.on_circle:
+        if name != "rabi-stark":
+            raise ValueError("--on-circle applies to the rabi-stark model only")
+        if args.g is not None:
+            raise ValueError("--on-circle derives g from kappa; drop --g")
         if args.kappa is None:
-            raise ValueError("intensity model requires --kappa")
-        return IntensityDependent(g=g_value, delta=args.delta, kappa=_parse_kappa(args.kappa))
-    if name == "two-photon":
-        return TwoPhoton(g=g_value, delta=args.delta)
-    if name == "rabi-stark":
-        if args.kappa is None:
-            raise ValueError("rabi-stark model requires --kappa")
-        return TwoPhotonRabiStark(g=g_value, delta=args.delta, kappa=_parse_kappa(args.kappa))
-    raise ValueError(f"unknown model {name!r}")
+            raise ValueError("--on-circle requires --kappa")
+        kap = _number("kappa", args.kappa)
+        if abs(kap) >= 1.0:
+            raise ValueError("--on-circle requires |kappa| < 1")
+        given["g"] = float(np.sqrt(1.0 - kap * kap) / 2.0)
+    missing = [_flag(p) for p in _FIELDS[name] if p not in given and getattr(args, p) is None]
+    if missing:
+        raise ValueError(f"{name} model requires {' and '.join(missing)}")
+    return _MODELS[name](**{
+        p: given[p] if p in given else _number(p, getattr(args, p)) for p in _FIELDS[name]
+    })
 
 
 def _select_sectors(model: ModelSpec, text: str) -> tuple[SectorLabel, ...]:
@@ -152,12 +149,13 @@ def _select_sectors(model: ModelSpec, text: str) -> tuple[SectorLabel, ...]:
         return sectors(model)
     label = SectorLabel.parse(text)
     if label not in sectors(model):
-        raise ValueError(f"sector {label} does not exist for the {model_name(model)} model")
+        raise ValueError(f"sector {label} does not exist for the {model.name} model")
     return (label,)
 
 
-def _default_sector(model: ModelSpec) -> SectorLabel:
-    return SectorLabel(1) if isinstance(model, IntensityDependent) else SectorLabel(1, 0)
+def _one_sector(model: ModelSpec, text: str) -> SectorLabel:
+    # the default is the + sector of photon parity 0 (plain + for step-1 chains)
+    return sectors(model)[1] if text == "default" else _select_sectors(model, text)[0]
 
 
 def _parse_index_range(text: str) -> range:
@@ -166,9 +164,11 @@ def _parse_index_range(text: str) -> range:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty index range {text!r}")
-        return range(lo, hi + 1)
-    n = int(text)
-    return range(n, n + 1)
+    else:
+        lo = hi = int(text)
+    if hi - lo >= MAX_PARAMS_ROWS:
+        raise ValueError(f"--n {text!r} spans more than {MAX_PARAMS_ROWS} indices")
+    return range(lo, hi + 1)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -179,11 +179,16 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        count = np.floor((stop - start) / step + 1e-9) + 1
         if count < 1:
             raise ValueError(f"grid {text!r} contains no points")
-        return [start + step * i for i in range(count)]
-    return [float(p) for p in text.split(",") if p]
+        if not count <= MAX_GRID_POINTS:
+            raise ValueError(f"--grid {text!r} has more than {MAX_GRID_POINTS} points")
+        return [start + step * i for i in range(int(count))]
+    grid = [float(p) for p in text.split(",") if p]
+    if len(grid) > MAX_GRID_POINTS:
+        raise ValueError(f"--grid has more than {MAX_GRID_POINTS} points")
+    return grid
 
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
@@ -234,14 +239,7 @@ def _emit(meta: dict, header: list[str], rows: list[list], args: argparse.Namesp
 
 
 def _model_meta(model: ModelSpec) -> dict:
-    meta: dict = {"model": model_name(model)}
-    if isinstance(model, AnisotropicTwoPhoton):
-        meta.update(g_plus=model.g_plus, g_minus=model.g_minus, delta=model.delta)
-    elif isinstance(model, (IntensityDependent, TwoPhotonRabiStark)):
-        meta.update(g=model.g, delta=model.delta, kappa=model.kappa)
-    else:
-        meta.update(g=model.g, delta=model.delta)
-    return meta
+    return {"model": model.name, **{f.name: getattr(model, f.name) for f in fields(model)}}
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -255,7 +253,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         report = predicted_phase(model, sector)
         ind, hl = report.indicator, report.essential_spectrum
         rows.append([
-            model_name(model), str(sector), report.trace, report.kind.value, report.notes,
+            model.name, str(sector), report.trace, report.kind.value, report.notes,
             ind.c1 if ind else None, ind.c0 if ind else None,
             hl.endpoint if hl else None, hl.direction if hl else None,
         ])
@@ -272,7 +270,7 @@ def cmd_params(args: argparse.Namespace) -> int:
     for sector in _select_sectors(model, args.sector):
         params = jacobi_params(model, sector)
         for n in indices:
-            rows.append([model_name(model), str(sector), n,
+            rows.append([model.name, str(sector), n,
                          float(params.a(n)), float(params.b(n))])
     meta = {"command": "params", **_model_meta(model), "n": args.n}
     _emit(meta, header, rows, args)
@@ -288,7 +286,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         params = jacobi_params(model, sector)
         spec = spectrum_scan(params, args.cutoff, window=window, tol=args.tol)
         for i, ev in enumerate(spec.eigenvalues):
-            rows.append([model_name(model), str(sector), i, float(ev)])
+            rows.append([model.name, str(sector), i, float(ev)])
     meta = {"command": "spectrum", **_model_meta(model), "cutoff": args.cutoff}
     if window is not None:
         meta.update(window_lo=window[0], window_hi=window[1])
@@ -297,23 +295,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
+    for opt in ("g", "on_circle"):
+        if getattr(args, opt):
+            raise ValueError(f"collapse takes the coupling from --grid; drop {_flag(opt)}")
     grid = _parse_grid(args.grid)
-    base = _build_model(args, g_value=grid[0])
-    sector = (
-        _default_sector(base) if args.sector == "default"
-        else _select_sectors(base, args.sector)[0]
-    )
-
-    def factory(g: float) -> ModelSpec:
-        if isinstance(base, AnisotropicTwoPhoton):
-            # vary the mean coupling, holding the anisotropy fixed
-            return AnisotropicTwoPhoton(
-                g_plus=g + base.g_diff, g_minus=g - base.g_diff, delta=base.delta
-            )
-        return _build_model(args, g_value=g)
-
-    scan = collapse_scan(factory, grid, sector, args.cutoff, args.lowest,
-                         max_workers=_max_workers())
+    base = _build_model(args, g=grid[0])
+    sector = _one_sector(base, args.sector)
+    scan = collapse_scan(base.with_coupling, grid, sector, args.cutoff, args.lowest)
     for g, flag in zip(scan.couplings, scan.nondiscrete):
         if flag:
             print(
@@ -327,7 +315,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         for g, mg, ng in zip(scan.couplings, scan.mean_gaps, scan.min_gaps)
     ]
     meta = {
-        "command": "collapse", "model": args.model, "delta": args.delta,
+        "command": "collapse", "model": base.name, "delta": base.delta,
         "sector": str(sector), "cutoff": args.cutoff, "k": args.lowest,
     }
     _emit(meta, header, rows, args)
@@ -336,10 +324,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 def cmd_edge(args: argparse.Namespace) -> int:
     model = _build_model(args)
-    sector = (
-        _default_sector(model) if args.sector == "default"
-        else _select_sectors(model, args.sector)[0]
-    )
+    sector = _one_sector(model, args.sector)
     report = predicted_phase(model, sector)
     if report.kind is not PhaseKind.CRITICAL_HALF_LINE:
         raise PhaseStateError(
@@ -348,8 +333,7 @@ def cmd_edge(args: argparse.Namespace) -> int:
         )
     params = jacobi_params(model, sector)
     cutoffs = _parse_cutoffs(args.cutoffs)
-    density = edge_density(params, report, cutoffs, args.window_width,
-                           max_workers=_max_workers())
+    density = edge_density(params, report, cutoffs, args.window_width)
     header = ["cutoff", "essential_count", "complementary_count"]
     rows = [
         [c, e, x]

@@ -25,8 +25,8 @@ closed-form endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .modulation import (
     PeriodicModulation,
     PhaseKind,
     PhaseReport,
-    UnsupportedRegimeError,
     edge_indicator,
     essential_halfline,
     limit_sequences,
@@ -66,8 +65,77 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _critically_equal(value: float, target: float) -> bool:
+    return abs(value - target) <= _CRIT_RTOL * abs(target)
+
+
+class Regime(NamedTuple):
+    """Symbolic regime clause of a model's parameters.
+
+    ``halfline`` (the closed-form essential half-line) and ``trace`` (the
+    certified monodromy trace, exactly +2.0 or -2.0) are set in critical
+    regimes only.
+    """
+
+    clause: str
+    kind: PhaseKind
+    halfline: HalfLine | None = None
+    trace: float | None = None
+
+
+def _coupling_regime(g: float, endpoint: float) -> Regime:
+    """Regime of a single coupling g whose critical value is 1/2."""
+    if _critically_equal(g, 0.5):
+        return Regime("g=1/2", PhaseKind.CRITICAL_HALF_LINE, HalfLine(endpoint, "up"), 2.0)
+    if g < 0.5:
+        return Regime("0<g<1/2", PhaseKind.EMPTY_ESSENTIAL)
+    return Regime("g>1/2", PhaseKind.FULL_LINE_AC)
+
+
+def _two_photon_chain(sgn: float, mu: float, delta: float, alpha,
+                      kappa: float = 0.0) -> PeriodicModulation:
+    """Sector modulation of the two-photon family; kappa is the Stark term (0 without)."""
+    return PeriodicModulation(
+        alpha=alpha,
+        beta=(2.0 * (1.0 + sgn * kappa), 2.0 * (1.0 - sgn * kappa)),
+        gamma=((1.0 + sgn * kappa) * mu + sgn * delta / 2.0,
+               (1.0 - sgn * kappa) * mu - sgn * delta / 2.0),
+        t=0.5 + mu / 2.0,
+        s=1.0 + mu / 2.0,
+    )
+
+
+class _Model:
+    """Everything specific to one model lives on its class.
+
+    ``name`` is the CLI name and ``step`` (1 or 2) the photon-number step of
+    the sector chains, which alone fixes the sector labels, the chain basis
+    index and the chain length.  ``modulation`` builds the exact sector
+    modulation, ``diagonal`` and ``coupling`` are the Hamiltonian's own
+    product-basis terms (kept apart from ``modulation`` so that the
+    decomposition check compares two independent constructions), ``regime``
+    is the symbolic regime clause and ``with_coupling`` varies the coupling
+    that ``collapse`` scans.  The defaults here are the two-photon forms.
+    """
+
+    name: ClassVar[str]
+    step: ClassVar[int] = 2
+
+    def diagonal(self, nu: int, m: np.ndarray) -> np.ndarray:
+        """Diagonal entries of spin block nu at photon numbers m."""
+        return m + nu * self.delta / 2.0
+
+    def coupling(self, nu: int, m: np.ndarray) -> np.ndarray:
+        """Entries coupling (nu, m) to (-nu, m + step)."""
+        return self.g * np.sqrt((m + 1.0) * (m + 2.0))
+
+    def with_coupling(self, g: float):
+        """The same model with its scanned coupling set to g."""
+        return replace(self, g=g)
+
+
 @dataclass(frozen=True)
-class IntensityDependent:
+class IntensityDependent(_Model):
     """Intensity-dependent Rabi model.
 
     H = N + (delta/2) sz + g sx ((N + 2 kappa)^(1/2) a + a+ (N + 2 kappa)^(1/2)),
@@ -75,6 +143,9 @@ class IntensityDependent:
     kappa = 0 is constructible but degenerate for the Jacobi reduction: the
     first off-diagonal entry vanishes and decouples the vacuum.
     """
+
+    name: ClassVar[str] = "intensity"
+    step: ClassVar[int] = 1
 
     g: float
     delta: float
@@ -86,10 +157,32 @@ class IntensityDependent:
         if not (np.isfinite(self.kappa) and self.kappa >= 0.0):
             raise ValueError(f"kappa must be non-negative, got {self.kappa!r}")
 
+    def modulation(self, sgn: float, mu: float) -> PeriodicModulation:
+        if self.kappa == 0.0:
+            raise DegenerateParameterError(
+                "kappa = 0 makes the first off-diagonal entry vanish; the chain "
+                "decouples and is not a Jacobi matrix with positive off-diagonal"
+            )
+        return PeriodicModulation(
+            alpha=(self.g, self.g),
+            beta=(1.0, 1.0),
+            gamma=(sgn * self.delta / 2.0, -sgn * self.delta / 2.0),
+            t=1.0,
+            s=2.0 * self.kappa,
+        )
+
+    def coupling(self, nu: int, m: np.ndarray) -> np.ndarray:
+        return self.g * np.sqrt((m + 1.0) * (m + 2.0 * self.kappa))
+
+    def regime(self) -> Regime:
+        return _coupling_regime(self.g, -self.kappa)
+
 
 @dataclass(frozen=True)
-class TwoPhoton:
+class TwoPhoton(_Model):
     """Two-photon Rabi model: H = N + (delta/2) sz + g sx (a^2 + a+^2)."""
+
+    name: ClassVar[str] = "two-photon"
 
     g: float
     delta: float
@@ -98,15 +191,23 @@ class TwoPhoton:
         _positive("g", self.g)
         _finite("delta", self.delta)
 
+    def modulation(self, sgn: float, mu: float) -> PeriodicModulation:
+        return _two_photon_chain(sgn, mu, self.delta, (2.0 * self.g, 2.0 * self.g))
+
+    def regime(self) -> Regime:
+        return _coupling_regime(self.g, -0.5)
+
 
 @dataclass(frozen=True)
-class AnisotropicTwoPhoton:
+class AnisotropicTwoPhoton(_Model):
     """Anisotropic two-photon Rabi model with distinct co/counter-rotating couplings.
 
     H = N + (delta/2) sz + (g_minus s- + g_plus s+) a+^2 + (g_plus s- + g_minus s+) a^2.
     Both couplings are positive and distinct; the mean (g_plus+g_minus)/2 and
     half-difference (g_plus-g_minus)/2 control the spectral phase.
     """
+
+    name: ClassVar[str] = "anisotropic"
 
     g_plus: float
     g_minus: float
@@ -130,11 +231,37 @@ class AnisotropicTwoPhoton:
         """Half-difference (g_plus - g_minus)/2."""
         return (self.g_plus - self.g_minus) / 2.0
 
+    def modulation(self, sgn: float, mu: float) -> PeriodicModulation:
+        alpha = (2.0 * (self.g_mean - sgn * self.g_diff), 2.0 * (self.g_mean + sgn * self.g_diff))
+        return _two_photon_chain(sgn, mu, self.delta, alpha)
+
+    def coupling(self, nu: int, m: np.ndarray) -> np.ndarray:
+        return (self.g_mean - nu * self.g_diff) * np.sqrt((m + 1.0) * (m + 2.0))
+
+    def with_coupling(self, g: float) -> "AnisotropicTwoPhoton":
+        """Vary the mean coupling, holding the anisotropy g_diff fixed."""
+        return AnisotropicTwoPhoton(g_plus=g + self.g_diff, g_minus=g - self.g_diff,
+                                    delta=self.delta)
+
+    def regime(self) -> Regime:
+        g, gd = self.g_mean, abs(self.g_diff)
+        if _critically_equal(g, 0.5):
+            return Regime("g=1/2", PhaseKind.CRITICAL_HALF_LINE, HalfLine(-0.5, "up"), 2.0)
+        if _critically_equal(gd, 0.5):
+            return Regime("|g'|=1/2", PhaseKind.CRITICAL_HALF_LINE, HalfLine(-0.5, "down"), -2.0)
+        if g < 0.5:
+            return Regime("g<1/2", PhaseKind.EMPTY_ESSENTIAL)
+        if gd > 0.5:
+            return Regime("|g'|>1/2", PhaseKind.EMPTY_ESSENTIAL)
+        return Regime("|g'|<1/2<g", PhaseKind.FULL_LINE_AC)
+
 
 @dataclass(frozen=True)
-class TwoPhotonRabiStark:
+class TwoPhotonRabiStark(_Model):
     """Two-photon Rabi model with a Stark term:
     H = N + sz (kappa N + delta/2) + g sx (a^2 + a+^2)."""
+
+    name: ClassVar[str] = "rabi-stark"
 
     g: float
     delta: float
@@ -145,19 +272,37 @@ class TwoPhotonRabiStark:
         _finite("delta", self.delta)
         _finite("kappa", self.kappa)
 
+    def modulation(self, sgn: float, mu: float) -> PeriodicModulation:
+        return _two_photon_chain(sgn, mu, self.delta, (2.0 * self.g, 2.0 * self.g), self.kappa)
+
+    def diagonal(self, nu: int, m: np.ndarray) -> np.ndarray:
+        return m + nu * (self.kappa * m + self.delta / 2.0)
+
+    def regime(self) -> Regime:
+        kap, g = self.kappa, self.g
+        if _critically_equal(abs(kap), 1.0):
+            return Regime("|kappa|=1", PhaseKind.CRITICAL_HALF_LINE,
+                          HalfLine(-kap * self.delta / 2.0, "down"), -2.0)
+        if abs(kap) > 1.0:
+            return Regime("|kappa|>1", PhaseKind.EMPTY_ESSENTIAL)
+        circle = kap**2 + 4.0 * g**2
+        if _critically_equal(circle, 1.0):
+            endpoint = (kap**2 - 1.0 - kap * self.delta) / 2.0
+            return Regime("kappa^2+4g^2=1", PhaseKind.CRITICAL_HALF_LINE,
+                          HalfLine(endpoint, "up"), 2.0)
+        if circle > 1.0:
+            return Regime("|kappa|<1, kappa^2+4g^2>1", PhaseKind.FULL_LINE_AC)
+        return Regime("kappa^2+4g^2<1", PhaseKind.EMPTY_ESSENTIAL)
+
 
 ModelSpec = Union[IntensityDependent, TwoPhoton, AnisotropicTwoPhoton, TwoPhotonRabiStark]
 
-_TWO_PHOTON_FAMILY = (TwoPhoton, AnisotropicTwoPhoton, TwoPhotonRabiStark)
+# the model table, in CLI order
+MODEL_TYPES = (IntensityDependent, TwoPhoton, AnisotropicTwoPhoton, TwoPhotonRabiStark)
 
 
 def model_name(model: ModelSpec) -> str:
-    return {
-        IntensityDependent: "intensity",
-        TwoPhoton: "two-photon",
-        AnisotropicTwoPhoton: "anisotropic",
-        TwoPhotonRabiStark: "rabi-stark",
-    }[type(model)]
+    return model.name
 
 
 @dataclass(frozen=True)
@@ -191,20 +336,17 @@ class SectorLabel:
 def sectors(model: ModelSpec) -> tuple[SectorLabel, ...]:
     """Invariant sectors in fixed enumeration order.
 
-    Two sectors (-, +) for the intensity-dependent model; four
-    (0-, 0+, 1-, 1+) for the two-photon family.
+    Two sectors (-, +) for step-1 chains (intensity-dependent); four
+    (0-, 0+, 1-, 1+) for step-2 chains (the two-photon family).
     """
-    if isinstance(model, IntensityDependent):
-        return (SectorLabel(-1), SectorLabel(1))
-    return (SectorLabel(-1, 0), SectorLabel(1, 0), SectorLabel(-1, 1), SectorLabel(1, 1))
+    mus = (None,) if model.step == 1 else range(model.step)
+    return tuple(SectorLabel(sign, mu) for mu in mus for sign in (-1, 1))
 
 
 def _check_sector(model: ModelSpec, sector: SectorLabel) -> None:
-    if isinstance(model, IntensityDependent):
-        if sector.mu is not None:
-            raise ValueError("intensity-dependent sectors carry no parity label mu")
-    elif sector.mu is None:
-        raise ValueError(f"{model_name(model)} sectors require a parity label mu in {{0, 1}}")
+    if (sector.mu is None) != (model.step == 1):
+        need = "carry no parity label mu" if model.step == 1 else "require a parity label mu"
+        raise ValueError(f"{model.name} sectors {need}")
 
 
 @dataclass(frozen=True)
@@ -244,70 +386,22 @@ def jacobi_params(model: ModelSpec, sector: SectorLabel) -> JacobiParams:
     entry for entry.
     """
     _check_sector(model, sector)
-    sgn = float(sector.sign)
-    if isinstance(model, IntensityDependent):
-        if model.kappa == 0.0:
-            raise DegenerateParameterError(
-                "kappa = 0 makes the first off-diagonal entry vanish; the chain "
-                "decouples and is not a Jacobi matrix with positive off-diagonal"
-            )
-        mod = PeriodicModulation(
-            alpha=(model.g, model.g),
-            beta=(1.0, 1.0),
-            gamma=(sgn * model.delta / 2.0, -sgn * model.delta / 2.0),
-            t=1.0,
-            s=2.0 * model.kappa,
-        )
-        return JacobiParams(mod, sector, model)
-
-    mu = float(sector.mu)
-    t = 0.5 + mu / 2.0
-    s = 1.0 + mu / 2.0
-    if isinstance(model, TwoPhoton):
-        mod = PeriodicModulation(
-            alpha=(2.0 * model.g, 2.0 * model.g),
-            beta=(2.0, 2.0),
-            gamma=(mu + sgn * model.delta / 2.0, mu - sgn * model.delta / 2.0),
-            t=t,
-            s=s,
-        )
-    elif isinstance(model, AnisotropicTwoPhoton):
-        mod = PeriodicModulation(
-            alpha=(2.0 * (model.g_mean - sgn * model.g_diff),
-                   2.0 * (model.g_mean + sgn * model.g_diff)),
-            beta=(2.0, 2.0),
-            gamma=(mu + sgn * model.delta / 2.0, mu - sgn * model.delta / 2.0),
-            t=t,
-            s=s,
-        )
-    elif isinstance(model, TwoPhotonRabiStark):
-        mod = PeriodicModulation(
-            alpha=(2.0 * model.g, 2.0 * model.g),
-            beta=(2.0 * (1.0 + sgn * model.kappa), 2.0 * (1.0 - sgn * model.kappa)),
-            gamma=((1.0 + sgn * model.kappa) * mu + sgn * model.delta / 2.0,
-                   (1.0 - sgn * model.kappa) * mu - sgn * model.delta / 2.0),
-            t=t,
-            s=s,
-        )
-    else:  # pragma: no cover - exhaustive over ModelSpec
-        raise TypeError(f"unknown model type {type(model).__name__}")
+    mod = model.modulation(float(sector.sign), float(sector.mu or 0))
     return JacobiParams(mod, sector, model)
 
 
 def sector_basis_index(model: ModelSpec, sector: SectorLabel, n: int) -> tuple[int, int]:
     """Product-basis coordinates (spin nu, photon index) of the sector's n-th vector.
 
-    The intensity-dependent chains alternate spin along the photon ladder,
-    (sign (-1)^n, n); the two-photon chains step the photon number by two,
-    (sign (-1)^n, 2n + mu).
+    The chains alternate spin while stepping the photon number by the
+    model's step: (sign (-1)^n, n) for the intensity-dependent model,
+    (sign (-1)^n, 2n + mu) for the two-photon family.
     """
     _check_sector(model, sector)
     if n < 0:
         raise ValueError("n must be non-negative")
     nu = sector.sign * (-1 if n % 2 else 1)
-    if isinstance(model, IntensityDependent):
-        return nu, int(n)
-    return nu, 2 * int(n) + sector.mu
+    return nu, model.step * int(n) + (sector.mu or 0)
 
 
 def _product_index(nu, m, cutoff):
@@ -328,42 +422,14 @@ def hamiltonian_matrix(model: ModelSpec, cutoff: int) -> np.ndarray:
         raise ValueError("cutoff must be at least 4")
     H = np.zeros((2 * cutoff, 2 * cutoff))
     m = np.arange(cutoff, dtype=float)
-
+    step = model.step
     for nu in (-1, 1):
         rows = _product_index(nu, np.arange(cutoff), cutoff)
-        if isinstance(model, TwoPhotonRabiStark):
-            H[rows, rows] = m + nu * (model.kappa * m + model.delta / 2.0)
-        else:
-            H[rows, rows] = m + nu * model.delta / 2.0
-
-    if isinstance(model, IntensityDependent):
-        step = 1
-        coup = model.g * np.sqrt((m[:-step] + 1.0) * (m[:-step] + 2.0 * model.kappa))
-        per_spin = {-1: coup, 1: coup}
-    elif isinstance(model, AnisotropicTwoPhoton):
-        step = 2
-        growth = np.sqrt((m[:-step] + 1.0) * (m[:-step] + 2.0))
-        per_spin = {
-            1: (model.g_mean - model.g_diff) * growth,
-            -1: (model.g_mean + model.g_diff) * growth,
-        }
-    else:
-        step = 2
-        coup = model.g * np.sqrt((m[:-step] + 1.0) * (m[:-step] + 2.0))
-        per_spin = {-1: coup, 1: coup}
-
-    for nu in (-1, 1):
+        H[rows, rows] = model.diagonal(nu, m)
         src = _product_index(nu, np.arange(cutoff - step), cutoff)
         dst = _product_index(-nu, np.arange(step, cutoff), cutoff)
-        H[dst, src] = per_spin[nu]
-        H[src, dst] = per_spin[nu]
+        H[dst, src] = H[src, dst] = model.coupling(nu, m[:-step])
     return H
-
-
-def _sector_chain_length(model: ModelSpec, sector: SectorLabel, cutoff: int) -> int:
-    if isinstance(model, IntensityDependent):
-        return cutoff
-    return (cutoff - sector.mu + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -403,7 +469,7 @@ def decomposition_check(model: ModelSpec, cutoff: int) -> DecompositionCheck:
     lengths: list[int] = []
     blocks: list[np.ndarray] = []
     for sector in sectors(model):
-        L = _sector_chain_length(model, sector, cutoff)
+        L = (cutoff - (sector.mu or 0) + model.step - 1) // model.step
         lengths.append(L)
         for n in range(L):
             nu, m = sector_basis_index(model, sector, n)
@@ -445,72 +511,16 @@ def verify_decomposition(model: ModelSpec, cutoff: int) -> float:
     return decomposition_check(model, cutoff).max_deviation
 
 
-def _critically_equal(value: float, target: float) -> bool:
-    return abs(value - target) <= _CRIT_RTOL * abs(target)
-
-
 def critical_trace(model: ModelSpec) -> float | None:
     """Exact monodromy trace (+2.0 or -2.0) if the parameters are critical, else None.
 
-    Criticality predicates: coupling mean at 1/2 (intensity-dependent,
-    two-photon, anisotropic), coupling half-difference at 1/2 (anisotropic),
-    kappa^2 + 4 g^2 = 1 or |kappa| = 1 (Stark).  All are evaluated with
-    relative tolerance 1e-12 on the user-supplied parameters.
+    Read off the model's regime clause.  Criticality predicates: coupling
+    mean at 1/2 (intensity-dependent, two-photon, anisotropic), coupling
+    half-difference at 1/2 (anisotropic), kappa^2 + 4 g^2 = 1 or |kappa| = 1
+    (Stark).  All are evaluated with relative tolerance 1e-12 on the
+    user-supplied parameters.
     """
-    if isinstance(model, (IntensityDependent, TwoPhoton)):
-        return 2.0 if _critically_equal(model.g, 0.5) else None
-    if isinstance(model, AnisotropicTwoPhoton):
-        if _critically_equal(model.g_mean, 0.5):
-            return 2.0
-        if _critically_equal(abs(model.g_diff), 0.5):
-            return -2.0
-        return None
-    if isinstance(model, TwoPhotonRabiStark):
-        if _critically_equal(abs(model.kappa), 1.0):
-            return -2.0
-        if _critically_equal(model.kappa**2 + 4.0 * model.g**2, 1.0):
-            return 2.0
-        return None
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _regime(model: ModelSpec) -> tuple[str, PhaseKind, HalfLine | None]:
-    """Symbolic regime clause: (clause label, phase kind, closed-form half-line)."""
-    if isinstance(model, (IntensityDependent, TwoPhoton)):
-        if _critically_equal(model.g, 0.5):
-            endpoint = -model.kappa if isinstance(model, IntensityDependent) else -0.5
-            return "g=1/2", PhaseKind.CRITICAL_HALF_LINE, HalfLine(endpoint, "up")
-        if model.g < 0.5:
-            return "0<g<1/2", PhaseKind.EMPTY_ESSENTIAL, None
-        return "g>1/2", PhaseKind.FULL_LINE_AC, None
-
-    if isinstance(model, AnisotropicTwoPhoton):
-        g, gd = model.g_mean, abs(model.g_diff)
-        if _critically_equal(g, 0.5):
-            return "g=1/2", PhaseKind.CRITICAL_HALF_LINE, HalfLine(-0.5, "up")
-        if _critically_equal(gd, 0.5):
-            return "|g'|=1/2", PhaseKind.CRITICAL_HALF_LINE, HalfLine(-0.5, "down")
-        if g < 0.5:
-            return "g<1/2", PhaseKind.EMPTY_ESSENTIAL, None
-        if gd > 0.5:
-            return "|g'|>1/2", PhaseKind.EMPTY_ESSENTIAL, None
-        return "|g'|<1/2<g", PhaseKind.FULL_LINE_AC, None
-
-    if isinstance(model, TwoPhotonRabiStark):
-        kap, g = model.kappa, model.g
-        if _critically_equal(abs(kap), 1.0):
-            return "|kappa|=1", PhaseKind.CRITICAL_HALF_LINE, HalfLine(-kap * model.delta / 2.0, "down")
-        if abs(kap) > 1.0:
-            return "|kappa|>1", PhaseKind.EMPTY_ESSENTIAL, None
-        circle = kap**2 + 4.0 * g**2
-        if _critically_equal(circle, 1.0):
-            endpoint = (kap**2 - 1.0 - kap * model.delta) / 2.0
-            return "kappa^2+4g^2=1", PhaseKind.CRITICAL_HALF_LINE, HalfLine(endpoint, "up")
-        if circle > 1.0:
-            return "|kappa|<1, kappa^2+4g^2>1", PhaseKind.FULL_LINE_AC, None
-        return "kappa^2+4g^2<1", PhaseKind.EMPTY_ESSENTIAL, None
-
-    raise UnsupportedRegimeError(f"no regime clause covers {model!r}")
+    return model.regime().trace
 
 
 def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
@@ -522,8 +532,8 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     modulation data.
     """
     params = jacobi_params(model, sector)
-    mono = monodromy(params.modulation, critical_trace=critical_trace(model))
-    clause, kind, closed = _regime(model)
+    clause, kind, closed, trace = model.regime()
+    mono = monodromy(params.modulation, critical_trace=trace)
     if kind is not PhaseKind.CRITICAL_HALF_LINE:
         return PhaseReport(kind, mono.trace, notes=clause)
 
@@ -533,7 +543,7 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     if halfline.direction != closed.direction or abs(halfline.endpoint - closed.endpoint) > 1e-9:
         raise RuntimeError(
             f"indicator half-line {halfline} disagrees with the closed form {closed} "
-            f"for {model_name(model)} sector {sector}"
+            f"for {model.name} sector {sector}"
         )
     return PhaseReport(kind, mono.trace, indicator, halfline, clause)
 

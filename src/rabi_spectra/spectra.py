@@ -12,7 +12,6 @@ counting-function growth along a cutoff ladder is reported there.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -67,13 +66,6 @@ def lowest_eigenvalues(
     return spec.eigenvalues[:k]
 
 
-def _map_maybe_parallel(fn: Callable, items: Sequence, max_workers: int | None):
-    if max_workers is not None and max_workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 @dataclass(frozen=True)
 class CollapseScan:
     """Gap statistics of the lowest-k eigenvalues along a coupling grid.
@@ -100,7 +92,6 @@ def collapse_scan(
     cutoff: int,
     k: int,
     tol: float | None = None,
-    max_workers: int | None = None,
 ) -> CollapseScan:
     """Scan a coupling grid and record consecutive-gap statistics.
 
@@ -137,7 +128,7 @@ def collapse_scan(
         flag = predicted_phase(model, sector).kind is not PhaseKind.EMPTY_ESSENTIAL
         return spec, flag
 
-    results = _map_maybe_parallel(solve, list(grid_arr), max_workers)
+    results = [solve(g) for g in grid_arr]
     spectra = tuple(spec for spec, _ in results)
     gaps = [np.diff(spec.eigenvalues) for spec in spectra]
     return CollapseScan(
@@ -175,7 +166,6 @@ def edge_density(
     report_from: PhaseReport,
     cutoffs: Sequence[int],
     W: float,
-    max_workers: int | None = None,
 ) -> EdgeDensityReport:
     """Count truncated eigenvalues near the predicted essential-spectrum edge.
 
@@ -205,7 +195,7 @@ def edge_density(
         lower, upper = at - below, above - at  # [ep-W, ep) and [ep, ep+W)
         return (upper, lower) if halfline.direction == "up" else (lower, upper)
 
-    pairs = _map_maybe_parallel(count_pair, cutoffs, max_workers)
+    pairs = [count_pair(c) for c in cutoffs]
     return EdgeDensityReport(
         endpoint=ep,
         direction=halfline.direction,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rabi_spectra import SectorLabel, TwoPhoton, predicted_phase, sectors
+from test_cli_golden import run_main
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,9 +177,55 @@ class TestExitCodesAndDeterminism:
         assert to_file.returncode == 0
         assert out.read_text() == direct.stdout
 
-    def test_thread_env_does_not_change_output(self):
-        import os
-        env = dict(os.environ, RABI_SPECTRA_THREADS="4")
-        args = ("collapse", "--model", "two-photon", "--delta", "1",
-                "--grid", "0.30,0.40,0.49", "--cutoff", "120", "-k", "8")
-        assert run_cli(*args, env=env).stdout == run_cli(*args).stdout
+
+class TestOptionValues:
+    """In-process checks of option parsing (no subprocess per case)."""
+
+    @pytest.mark.parametrize("exp_form, plain_form", [
+        (["classify", "--model", "rabi-stark", "--g", "0.3", "--kappa", "-3.4e-05"],
+         ["classify", "--model", "rabi-stark", "--g", "0.3", "--kappa=-3.4e-05"]),
+        (["classify", "--model", "two-photon", "--g", "0.3", "--delta", "-1e-05"],
+         ["classify", "--model", "two-photon", "--g", "0.3", "--delta", "-0.00001"]),
+        (["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "0+",
+          "--cutoff", "20", "--window", "-1E-05", "10"],
+         ["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "0+",
+          "--cutoff", "20", "--window", "-0.00001", "10"]),
+    ])
+    def test_negative_exponent_values(self, exp_form, plain_form):
+        code, out, err = run_main(exp_form)
+        assert code == 0, err
+        assert (code, out) == run_main(plain_form)[:2]
+
+    @pytest.mark.parametrize("argv, option", [
+        (["classify", "--model", "two-photon", "--g", "0.3", "--kappa", "5",
+          "--g-plus", "9"], "--kappa"),
+        (["classify", "--model", "anisotropic", "--g", "0.9",
+          "--g-plus", "0.8", "--g-minus", "0.2"], "--g"),
+        (["collapse", "--model", "two-photon", "--g", "0.9", "--on-circle",
+          "--grid", "0.3,0.4"], "--g"),
+        (["collapse", "--model", "rabi-stark", "--kappa", "0.5", "--on-circle",
+          "--grid", "0.3,0.4"], "--on-circle"),
+    ])
+    def test_option_the_model_does_not_take_is_rejected(self, argv, option):
+        code, out, err = run_main(argv)
+        assert code == 1
+        assert out == ""
+        assert option in err
+
+    # -k 1 and sector 2+ fail right after the size check, so an unbounded
+    # parser exits fast here too instead of scanning the grid
+    @pytest.mark.parametrize("argv, message", [
+        (["collapse", "--model", "two-photon", "--grid", "1:10001:1", "-k", "1"], "--grid"),
+        (["collapse", "--model", "two-photon", "--grid", "1:10000:1", "-k", "1"], "k must be"),
+        (["collapse", "--model", "two-photon", "--grid", "0:1e308:1e-308", "-k", "1"], "--grid"),
+        (["collapse", "--model", "two-photon", "-k", "1",
+          "--grid", ",".join(["0.1"] * 10_001)], "--grid"),
+        (["params", "--model", "two-photon", "--g", "0.3", "--sector", "2+",
+          "--n", "0..1000000"], "--n"),
+        (["params", "--model", "two-photon", "--g", "0.3", "--sector", "2+",
+          "--n", "0..999999"], "sector"),
+    ])
+    def test_input_size_limits(self, argv, message):
+        code, out, err = run_main(argv)
+        assert code == 1
+        assert message in err

@@ -105,18 +105,6 @@ class TestCollapseScan:
                 lambda g: TwoPhoton(g=g, delta=1.0), [0.4], SectorLabel(1, 0), 50, 1
             )
 
-    def test_parallel_matches_serial(self):
-        grid = [0.30, 0.40, 0.49]
-        serial = collapse_scan(
-            lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 120, 8
-        )
-        parallel = collapse_scan(
-            lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 120, 8,
-            max_workers=3,
-        )
-        np.testing.assert_array_equal(serial.mean_gaps, parallel.mean_gaps)
-        np.testing.assert_array_equal(serial.min_gaps, parallel.min_gaps)
-
 
 class TestEdgeDensity:
     def test_two_photon_critical_accumulation(self):
