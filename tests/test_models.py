@@ -4,6 +4,7 @@ sections, block-diagonalisation, and the symbolic phase prediction."""
 import numpy as np
 import pytest
 
+import rabi_spectra.models as models
 from rabi_spectra import (
     AnisotropicTwoPhoton,
     DegenerateParameterError,
@@ -269,6 +270,45 @@ class TestDecomposition:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):
             verify_decomposition(TwoPhoton(g=1, delta=0), 4)
+
+    @pytest.mark.parametrize("where", ["max_block", "max_boundary", "max_cross"])
+    def test_seeded_fault_lands_in_its_field(self, monkeypatch, where):
+        # one wrong entry of H must be reported in the field that covers it,
+        # and only there
+        model, cutoff = TwoPhoton(g=0.7, delta=1.3), 16
+
+        def chain(sector):
+            # product-basis rows of the sector's chain (hamiltonian_matrix
+            # layout: spin -1 rows first, photon index within each spin block)
+            rows, n = [], 0
+            while True:
+                nu, m = sector_basis_index(model, sector, n)
+                if m >= cutoff:
+                    return rows
+                rows.append((0 if nu == -1 else 1) * cutoff + m)
+                n += 1
+
+        first, second = (chain(s) for s in sectors(model)[:2])
+        entry = {
+            "max_block": (first[1], first[2]),
+            "max_boundary": (first[-1], first[-2]),
+            "max_cross": (first[0], second[0]),
+        }[where]
+        exact = models.hamiltonian_matrix
+
+        def faulty(model, cutoff):
+            H = exact(model, cutoff)
+            H[entry] += 1.0
+            return H
+
+        monkeypatch.setattr(models, "hamiltonian_matrix", faulty)
+        check = decomposition_check(model, cutoff)
+        for field in ("max_block", "max_boundary", "max_cross"):
+            value = getattr(check, field)
+            if field == where:
+                assert value == pytest.approx(1.0, abs=1e-12)
+            else:
+                assert value <= 1e-12
 
 
 class TestCriticalTrace:
