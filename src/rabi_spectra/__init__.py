@@ -45,7 +45,6 @@ from .models import (
     decomposition_check,
     hamiltonian_matrix,
     jacobi_params,
-    model_name,
     predicted_phase,
     sector_basis_index,
     sectors,

@@ -301,10 +301,6 @@ ModelSpec = Union[IntensityDependent, TwoPhoton, AnisotropicTwoPhoton, TwoPhoton
 MODEL_TYPES = (IntensityDependent, TwoPhoton, AnisotropicTwoPhoton, TwoPhotonRabiStark)
 
 
-def model_name(model: ModelSpec) -> str:
-    return model.name
-
-
 @dataclass(frozen=True)
 class SectorLabel:
     """Invariant-chain label: a sign, plus the photon parity mu for the
@@ -434,12 +430,12 @@ def hamiltonian_matrix(model: ModelSpec, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecompositionCheck:
-    """Entrywise comparison of the reordered Hamiltonian with its sector blocks.
+    """Entrywise comparison of the Hamiltonian's sector chain blocks with their truncations.
 
     ``max_block`` covers all in-block entries except the final chain row and
     column of each sector (the truncation band, whose out-of-cutoff coupling
     was dropped on both sides); that band is reported separately as
-    ``max_boundary``.  ``max_cross`` covers every entry outside the diagonal
+    ``max_boundary``.  ``max_cross`` covers every entry outside the chain
     blocks, which the exact sector invariance forces to zero.
     """
 
@@ -454,51 +450,34 @@ class DecompositionCheck:
 
 
 def decomposition_check(model: ModelSpec, cutoff: int) -> DecompositionCheck:
-    """Reorder the dense finite section by sector chains and compare blocks.
+    """Compare each sector's chain block of the dense finite section with its truncation.
 
     The sector map is a bijection of the product-basis index set, so the
-    reordered matrix must be block diagonal with blocks equal to the
-    truncated sector Jacobi matrices.
+    dense matrix must vanish outside the chain blocks, and each block, read
+    where it sits, must equal the truncated sector Jacobi matrix.
     """
     cutoff = int(cutoff)
     if cutoff < 8:
         raise ValueError("cutoff must be at least 8")
     H = hamiltonian_matrix(model, cutoff)
-
-    perm: list[int] = []
-    lengths: list[int] = []
-    blocks: list[np.ndarray] = []
+    cross = np.ones(H.shape, dtype=bool)
+    max_block = max_boundary = 0.0
+    tiled = 0
     for sector in sectors(model):
         L = (cutoff - (sector.mu or 0) + model.step - 1) // model.step
-        lengths.append(L)
-        for n in range(L):
-            nu, m = sector_basis_index(model, sector, n)
-            perm.append(_product_index(nu, m, cutoff))
-        blocks.append(jacobi_params(model, sector).truncation(L).dense())
-    perm_arr = np.asarray(perm)
-    assert np.array_equal(np.sort(perm_arr), np.arange(2 * cutoff)), \
+        chain = [_product_index(*sector_basis_index(model, sector, n), cutoff) for n in range(L)]
+        block = np.ix_(chain, chain)
+        dev = np.abs(H[block] - jacobi_params(model, sector).truncation(L).dense())
+        max_block = np.maximum(max_block, dev[:-1, :-1].max(initial=0.0))
+        max_boundary = np.maximum(max_boundary, np.maximum(dev[-1].max(), dev[:, -1].max()))
+        cross[block] = False
+        tiled += L
+    assert tiled == H.shape[0] and not cross.diagonal().any(), \
         "sector chains must tile the product basis exactly"
-
-    reordered = H[np.ix_(perm_arr, perm_arr)]
-    expected = np.zeros_like(reordered)
-    offset = 0
-    block_mask = np.zeros(reordered.shape, dtype=bool)
-    boundary_mask = np.zeros(reordered.shape, dtype=bool)
-    for L, blk in zip(lengths, blocks):
-        sl = slice(offset, offset + L)
-        expected[sl, sl] = blk
-        block_mask[sl, sl] = True
-        boundary_mask[offset + L - 1, sl] = True
-        boundary_mask[sl, offset + L - 1] = True
-        offset += L
-
-    dev = np.abs(reordered - expected)
-    interior = block_mask & ~boundary_mask
-    cross = ~block_mask
     return DecompositionCheck(
-        max_block=float(dev[interior].max()) if interior.any() else 0.0,
-        max_boundary=float(dev[block_mask & boundary_mask].max()),
-        max_cross=float(dev[cross].max()) if cross.any() else 0.0,
+        max_block=float(max_block),
+        max_boundary=float(max_boundary),
+        max_cross=float(np.abs(H[cross]).max(initial=0.0)),
     )
 
 

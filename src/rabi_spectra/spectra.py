@@ -22,6 +22,7 @@ from .models import JacobiParams, ModelSpec, SectorLabel, jacobi_params, predict
 from .tridiag import (
     SymTridiag,
     TruncatedSpectrum,
+    _sturm_counts,
     default_bisect_tol,
     eigenvalues_bisect,
     sturm_count,
@@ -189,9 +190,7 @@ def edge_density(
 
     def count_pair(cutoff: int) -> tuple[int, int]:
         m = params.truncation(cutoff)
-        below = sturm_count(m, ep - W)
-        at = sturm_count(m, ep)
-        above = sturm_count(m, ep + W)
+        below, at, above = _sturm_counts(m, [ep - W, ep, ep + W]).tolist()
         lower, upper = at - below, above - at  # [ep-W, ep) and [ep, ep+W)
         return (upper, lower) if halfline.direction == "up" else (lower, upper)
 

@@ -107,19 +107,23 @@ class TruncatedSpectrum:
         return int(self.eigenvalues.size)
 
 
-def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Eigenvalue counts strictly below each shift in ``lams``.
+def _sturm_counts(m: SymTridiag, lams) -> np.ndarray:
+    """Eigenvalue counts of ``m`` strictly below each shift in ``lams``.
 
     Runs the shift-safe LDL^T recurrence d_i = (diag_i - lam) - off_(i-1)^2 / d_(i-1)
     vectorised over the shift axis; the number of negative d_i equals the
-    number of eigenvalues below the shift.
+    number of eigenvalues below the shift.  Callers pass every shift they
+    need on one section in one call.
     """
+    diag, off_sq = m.diag, m.offdiag**2
+    lams = np.asarray(lams, dtype=float)
+
     def guarded(d: np.ndarray, i: int) -> np.ndarray:
-        # exact zeros would blow up the next division; the conventional
-        # guard nudges them negative at machine-epsilon scale
+        # exact zeros would blow up the next division; pivots decrease in lam,
+        # so nudging them positive counts at lam - 0, i.e. strictly below
         zero = d == 0.0
         if zero.any():
-            d = np.where(zero, -(np.abs(diag[i]) + np.abs(lams) + 1.0) * _EPS, d)
+            d = np.where(zero, (np.abs(diag[i]) + np.abs(lams) + 1.0) * _EPS, d)
         return d
 
     d = guarded(diag[0] - lams, 0)
@@ -135,8 +139,7 @@ def sturm_count(m: SymTridiag, lam: float) -> int:
     lam = float(lam)
     if not np.isfinite(lam):
         raise ValueError("lam must be finite")
-    off_sq = m.offdiag**2
-    return int(_sturm_counts(m.diag, off_sq, np.array([lam]))[0])
+    return int(_sturm_counts(m, [lam])[0])
 
 
 def default_bisect_tol(m: SymTridiag) -> float:
@@ -177,10 +180,7 @@ def eigenvalues_bisect(
     if hi <= lo:
         return TruncatedSpectrum(np.empty(0), m.n_max, tol, (lo, hi))
 
-    off_sq = m.offdiag**2
-    c_lo = int(_sturm_counts(m.diag, off_sq, np.array([lo]))[0])
-    c_hi = int(_sturm_counts(m.diag, off_sq, np.array([hi]))[0])
-    targets = np.arange(c_lo, c_hi)
+    targets = np.arange(*_sturm_counts(m, [lo, hi]))
     if targets.size == 0:
         return TruncatedSpectrum(np.empty(0), m.n_max, tol, (lo, hi))
 
@@ -192,7 +192,7 @@ def eigenvalues_bisect(
         stuck = (mids <= los) | (mids >= his)
         if np.all(done | stuck):
             break
-        counts = _sturm_counts(m.diag, off_sq, mids)
+        counts = _sturm_counts(m, mids)
         below = counts >= targets + 1
         his = np.where(below, mids, his)
         los = np.where(below, los, mids)

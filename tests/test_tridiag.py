@@ -5,6 +5,9 @@ geometric series) or come from the dense LAPACK oracle in conftest, which
 shares no code with the library's Sturm/bisection path.
 """
 
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +159,75 @@ class TestEigenvaluesBisect:
         # positive off-diagonal makes the interlacing strict
         assert np.all(big[:-1] < small + 1e-11)
         assert np.all(small < big[1:] + 1e-11)
+
+
+class TestExactHits:
+    """Shifts and window ends that land exactly on an eigenvalue.
+
+    The count is strictly below the shift and windows are half-open
+    [lo, hi), so an eigenvalue at a shift belongs to the window above it.
+    """
+
+    def test_one_by_one_count_at_its_eigenvalue(self):
+        assert sturm_count(SymTridiag(diag=[1.0], offdiag=[]), 1.0) == 0
+
+    def test_sigma_x_count_at_top_eigenvalue(self):
+        assert sturm_count(SymTridiag(diag=[0.0, 0.0], offdiag=[1.0]), 1.0) == 1
+
+    def test_sigma_x_window_ending_on_eigenvalue_excludes_it(self):
+        m = SymTridiag(diag=[0.0, 0.0], offdiag=[1.0])
+        assert len(eigenvalues_bisect(m, window=(0.0, 1.0))) == 0
+
+    def test_sigma_x_window_starting_on_eigenvalue_includes_it(self):
+        m = SymTridiag(diag=[0.0, 0.0], offdiag=[1.0])
+        spec = eigenvalues_bisect(m, window=(1.0, 2.0), tol=1e-14)
+        np.testing.assert_allclose(spec.eigenvalues, [1.0], atol=1e-13)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1),
+            )
+        ),
+        st.lists(st.integers(-8, 8), min_size=2, max_size=2, unique=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_matrices_vs_extended_precision(self, entries, shifts):
+        # integer shifts hit zero pivots (shift = diag[0]) and, for some
+        # matrices, exact eigenvalues; 50-digit eigenvalues decide the count
+        diag, offdiag = entries
+        m = SymTridiag(diag=diag, offdiag=offdiag)
+        with mpmath.workdps(50):
+            oracle = mpmath.eigsy(mpmath.matrix(m.dense().tolist()), eigvals_only=True)
+            for lam in shifts:
+                below = sum(ev < lam - mpmath.mpf("1e-30") for ev in oracle)
+                hits = sum(abs(ev - lam) <= mpmath.mpf("1e-30") for ev in oracle)
+                count = sturm_count(m, lam)
+                if _float_exact_pivots(diag, offdiag, lam):
+                    assert count == below
+                else:
+                    # a rounded pivot of order eps can take either sign at a hit
+                    assert below <= count <= below + hits
+        a, b = sorted(shifts)
+        assert len(eigenvalues_bisect(m, window=(a, b))) == sturm_count(m, b) - sturm_count(m, a)
+
+
+def _float_exact_pivots(diag, offdiag, lam) -> bool:
+    """Whether float64 forms every LDL^T pivot at ``lam`` without rounding.
+
+    Each quotient and pivot, computed in rationals, must be a float64 value;
+    a zero pivot may only come last, where no nudged division follows it.
+    """
+    d = Fraction(diag[0] - lam)
+    for i in range(1, len(diag)):
+        if d == 0:
+            return False
+        q = Fraction(offdiag[i - 1] ** 2) / d
+        d = diag[i] - lam - q
+        if Fraction(float(q)) != q or Fraction(float(d)) != d:
+            return False
+    return True
 
 
 class TestCarlemanPartialSums:
