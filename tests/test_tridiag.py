@@ -2,7 +2,8 @@
 
 Expected values are either closed forms (2x2 matrices, harmonic numbers,
 geometric series) or come from the dense LAPACK oracle in conftest, which
-shares no code with the library's Sturm/bisection path.
+shares no code with the library's Sturm/bisection path; shifts that land
+exactly on an eigenvalue are judged by 50-digit mpmath eigenvalues.
 """
 
 from fractions import Fraction
