@@ -20,7 +20,6 @@ import numpy as np
 from .modulation import PhaseKind, PhaseReport, PhaseStateError
 from .models import JacobiParams, ModelSpec, SectorLabel, jacobi_params, predicted_phase
 from .tridiag import (
-    SymTridiag,
     TruncatedSpectrum,
     _sturm_counts,
     default_bisect_tol,
@@ -170,7 +169,8 @@ def edge_density(
 ) -> EdgeDensityReport:
     """Count truncated eigenvalues near the predicted essential-spectrum edge.
 
-    Pure Sturm counting, no bisection.  Requires a critical-phase report;
+    Pure Sturm counting, no bisection: one recurrence pass over the largest
+    section counts the whole ladder.  Requires a critical-phase report;
     window conventions are half-open away from the endpoint, so W = 0 gives
     zero counts on both sides.
     """
@@ -188,18 +188,18 @@ def edge_density(
     halfline = report_from.essential_spectrum
     ep = halfline.endpoint
 
-    def count_pair(cutoff: int) -> tuple[int, int]:
-        m = params.truncation(cutoff)
-        below, at, above = _sturm_counts(m, [ep - W, ep, ep + W]).tolist()
-        lower, upper = at - below, above - at  # [ep-W, ep) and [ep, ep+W)
-        return (upper, lower) if halfline.direction == "up" else (lower, upper)
-
-    pairs = [count_pair(c) for c in cutoffs]
+    # one pass over the largest section counts every leading section: the
+    # closed-form entries make truncation(c) the leading block of it
+    m = params.truncation(cutoffs[-1])
+    below, at, above = _sturm_counts(m, [ep - W, ep, ep + W], sizes=cutoffs).T
+    # [ep-W, ep) and [ep, ep+W)
+    lower, upper = tuple((at - below).tolist()), tuple((above - at).tolist())
+    essential, complementary = (upper, lower) if halfline.direction == "up" else (lower, upper)
     return EdgeDensityReport(
         endpoint=ep,
         direction=halfline.direction,
         window_width=W,
         cutoffs=cutoffs,
-        essential_counts=tuple(p[0] for p in pairs),
-        complementary_counts=tuple(p[1] for p in pairs),
+        essential_counts=essential,
+        complementary_counts=complementary,
     )

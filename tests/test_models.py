@@ -103,6 +103,15 @@ class TestJacobiParams:
         n = np.arange(6)
         np.testing.assert_array_equal(params.b(n), 2.0 * n)
 
+    @pytest.mark.parametrize("model", sample_models(), ids=lambda m: m.name)
+    def test_truncation_is_leading_block_of_larger(self, model):
+        # the edge-count ladder reads every cutoff off the largest section
+        for sector in sectors(model):
+            params = jacobi_params(model, sector)
+            small, big = params.truncation(300), params.truncation(600)
+            assert small.diag.tobytes() == big.diag[:300].tobytes()
+            assert small.offdiag.tobytes() == big.offdiag[:299].tobytes()
+
     def test_closed_forms_match_modulated_forms(self):
         # the evaluable rules are the modulated forms; the per-model closed
         # forms must agree to rounding

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rabi_spectra import (
+    AnisotropicTwoPhoton,
     IntensityDependent,
     PhaseStateError,
     SectorLabel,
@@ -117,6 +118,21 @@ class TestEdgeDensity:
         ess = density.essential_counts
         assert ess[0] < ess[1] < ess[2]
         assert max(density.complementary_counts) <= 5
+
+    @pytest.mark.parametrize(
+        "model, sector",
+        [
+            (TwoPhoton(g=0.5, delta=1.0), SectorLabel(1, 0)),
+            (AnisotropicTwoPhoton(g_plus=1.3, g_minus=0.3, delta=1.0), SectorLabel(-1, 1)),
+        ],
+    )
+    def test_ladder_equals_single_cutoff_calls(self, model, sector):
+        # one "up" and one "down" half-line
+        params, report = jacobi_params(model, sector), predicted_phase(model, sector)
+        ladder = edge_density(params, report, (200, 400, 800), 5.0)
+        singles = [edge_density(params, report, (c,), 5.0) for c in (200, 400, 800)]
+        assert ladder.essential_counts == tuple(s.essential_counts[0] for s in singles)
+        assert ladder.complementary_counts == tuple(s.complementary_counts[0] for s in singles)
 
     def test_zero_width_windows_are_empty(self):
         model = TwoPhoton(g=0.5, delta=1.0)

@@ -24,7 +24,15 @@ from rabi_spectra import (
     sturm_count,
 )
 
+from rabi_spectra.tridiag import _SCALAR_MAX_SHIFTS, _sturm_counts
+
 from conftest import dense_eigenvalues, random_sym_tridiag
+
+
+def numpy_path_counts(m, lams, sizes=None):
+    """``_sturm_counts`` with the shift list padded onto the numpy path."""
+    counts = _sturm_counts(m, list(lams) + [0.0] * _SCALAR_MAX_SHIFTS, sizes)
+    return counts[..., : len(lams)]
 
 
 class TestSymTridiag:
@@ -95,6 +103,54 @@ class TestSturmCount:
         ev = dense_eigenvalues(m)
         for lam in rng.uniform(*m.gershgorin(), size=20):
             assert sturm_count(m, lam) == int(np.sum(ev < lam))
+
+
+class TestKernelPaths:
+    """The scalar and numpy paths of ``_sturm_counts`` count bit for bit alike."""
+
+    @given(st.integers(1, 40), st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_paths_agree_on_random_sections(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = random_sym_tridiag(rng, n)
+        lo, hi = m.gershgorin()
+        # diagonal entries as shifts put a zero pivot on the first row
+        lams = [*rng.uniform(lo - 1.0, hi + 1.0, size=8), *m.diag[:3]]
+        assert numpy_path_counts(m, lams).tolist() == [sturm_count(m, lam) for lam in lams]
+
+    @pytest.mark.parametrize(
+        "diag, offdiag, lams",
+        [([1.0], [], [1.0]), ([0.0, 0.0], [1.0], [-1.0, 0.0, 1.0, 2.0])],
+    )
+    def test_paths_agree_on_exact_hits(self, diag, offdiag, lams):
+        m = SymTridiag(diag=diag, offdiag=offdiag)
+        assert numpy_path_counts(m, lams).tolist() == [sturm_count(m, lam) for lam in lams]
+
+
+class TestPrefixLadder:
+    """Row j of ``_sturm_counts(m, lams, sizes)`` counts the leading sizes[j] section."""
+
+    @given(st.integers(1, 30), st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_equal_leading_sections(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = random_sym_tridiag(rng, n)
+        lo, hi = m.gershgorin()
+        lams = [*rng.uniform(lo - 1.0, hi + 1.0, size=4), m.diag[0]]
+        sizes = sorted({1, n, *rng.integers(1, n + 1, size=3).tolist()})
+        scalar_rows = _sturm_counts(m, lams, sizes)
+        numpy_rows = numpy_path_counts(m, lams, sizes)
+        assert scalar_rows.shape == numpy_rows.shape == (len(sizes), len(lams))
+        for size, scalar_row, numpy_row in zip(sizes, scalar_rows, numpy_rows):
+            lead = SymTridiag(diag=m.diag[:size], offdiag=m.offdiag[: size - 1])
+            assert scalar_row.tolist() == _sturm_counts(lead, lams).tolist()
+            assert numpy_row.tolist() == numpy_path_counts(lead, lams).tolist()
+
+    @pytest.mark.parametrize("sizes", [[], [0, 3], [2, 2], [3, 2], [2, 6]])
+    def test_rejects_bad_sizes(self, sizes):
+        m = SymTridiag(diag=np.zeros(5), offdiag=np.ones(4))
+        with pytest.raises(ValueError, match="sizes"):
+            _sturm_counts(m, [0.0], sizes)
 
 
 class TestEigenvaluesBisect:
@@ -201,10 +257,12 @@ class TestExactHits:
         m = SymTridiag(diag=diag, offdiag=offdiag)
         with mpmath.workdps(50):
             oracle = mpmath.eigsy(mpmath.matrix(m.dense().tolist()), eigvals_only=True)
-            for lam in shifts:
+            # the oracle judges the scalar path; the numpy path must agree
+            counts = [sturm_count(m, lam) for lam in shifts]
+            assert numpy_path_counts(m, shifts).tolist() == counts
+            for lam, count in zip(shifts, counts):
                 below = sum(ev < lam - mpmath.mpf("1e-30") for ev in oracle)
                 hits = sum(abs(ev - lam) <= mpmath.mpf("1e-30") for ev in oracle)
-                count = sturm_count(m, lam)
                 if _float_exact_pivots(diag, offdiag, lam):
                     assert count == below
                 else:
