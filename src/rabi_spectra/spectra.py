@@ -47,7 +47,7 @@ def lowest_eigenvalues(
     """The k smallest eigenvalues of the finite section.
 
     Expands a window upward from the Gershgorin lower bound until the Sturm
-    count reaches k, then bisects only inside it.
+    count reaches k, then bisects only the lowest k eigenvalues inside it.
     """
     cutoff = int(cutoff)
     k = int(k)
@@ -62,8 +62,7 @@ def lowest_eigenvalues(
     hi = min(glo + 1.0, ghi) + pad
     while sturm_count(m, hi) < k and hi < ghi + pad:
         hi = min(lo + 2.0 * (hi - lo), ghi + pad)
-    spec = eigenvalues_bisect(m, window=(lo, hi), tol=tol)
-    return spec.eigenvalues[:k]
+    return eigenvalues_bisect(m, window=(lo, hi), tol=tol, k=k).eigenvalues
 
 
 @dataclass(frozen=True)

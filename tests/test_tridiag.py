@@ -24,7 +24,9 @@ from rabi_spectra import (
     sturm_count,
 )
 
-from rabi_spectra.tridiag import _SCALAR_MAX_SHIFTS, _sturm_counts
+from rabi_spectra import tridiag
+from rabi_spectra.spectra import spectrum_scan
+from rabi_spectra.tridiag import _SCALAR_MAX_SHIFTS, _sturm_counts, default_bisect_tol
 
 from conftest import dense_eigenvalues, random_sym_tridiag
 
@@ -216,6 +218,118 @@ class TestEigenvaluesBisect:
         # positive off-diagonal makes the interlacing strict
         assert np.all(big[:-1] < small + 1e-11)
         assert np.all(small < big[1:] + 1e-11)
+
+
+def _reference_bisect(m, window=None, tol=None):
+    """The one-level-per-pass bisection loop that speculative passes replay.
+
+    Each pass counts at the midpoint of every target's bracket, so a full
+    spectrum takes one pass per level; ``eigenvalues_bisect`` must return
+    these bytes.
+    """
+    tol = default_bisect_tol(m) if tol is None else tol
+    if window is None:
+        glo, ghi = m.gershgorin()
+        pad = 64.0 * np.finfo(float).eps * max(1.0, abs(glo), abs(ghi))
+        window = (glo - pad, ghi + pad)
+    lo, hi = window
+    targets = np.arange(*_sturm_counts(m, [lo, hi]))
+    los, his = np.full(targets.size, lo), np.full(targets.size, hi)
+    while True:
+        mids = 0.5 * (los + his)
+        done = (his - los) <= 2.0 * tol
+        stuck = (mids <= los) | (mids >= his)
+        if np.all(done | stuck):
+            break
+        below = _sturm_counts(m, mids) >= targets + 1
+        his = np.where(below, mids, his)
+        los = np.where(below, los, mids)
+    return np.maximum.accumulate(0.5 * (los + his))
+
+
+def _integer_sym_tridiag(rng, n):
+    return SymTridiag(diag=rng.integers(-5, 6, n), offdiag=rng.integers(1, 4, n - 1))
+
+
+def _kac(n):
+    """Kac matrix: zero diagonal, eigenvalues exactly -(n-1), -(n-3), ..., n-1."""
+    i = np.arange(1, n)
+    return SymTridiag(diag=np.zeros(n), offdiag=np.sqrt(i * (n - i)))
+
+
+class TestSpeculativeBisection:
+    """Speculative passes give the one-level loop's eigenvalues bit for bit."""
+
+    # 20 targets stay on the scalar path, 150 put every pass on the numpy path
+    @pytest.mark.parametrize("n", [20, 150])
+    @pytest.mark.parametrize("make", [random_sym_tridiag, _integer_sym_tridiag])
+    def test_full_spectrum_bytes(self, n, make):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            m = make(rng, n)
+            assert eigenvalues_bisect(m).eigenvalues.tobytes() == _reference_bisect(m).tobytes()
+
+    @pytest.mark.parametrize("n", [20, 150])
+    def test_random_window_bytes(self, n):
+        rng = np.random.default_rng(n + 1)
+        for _ in range(5):
+            m = random_sym_tridiag(rng, n)
+            lo, hi = m.gershgorin()
+            window = tuple(np.sort(rng.uniform(lo - 1.0, hi + 1.0, size=2)))
+            got = eigenvalues_bisect(m, window=window).eigenvalues
+            assert got.tobytes() == _reference_bisect(m, window).tobytes()
+
+    @pytest.mark.parametrize("n, window", [(9, (-4.0, 6.0)), (101, (-79.0, 79.0)), (101, (0.0, 100.0))])
+    def test_window_ends_on_exact_eigenvalues(self, n, window):
+        m = _kac(n)
+        got = eigenvalues_bisect(m, window=window).eigenvalues
+        assert got.tobytes() == _reference_bisect(m, window).tobytes()
+
+    @pytest.mark.parametrize("n", [20, 150])
+    def test_stuck_brackets_bytes(self, n):
+        # tol far below float spacing: every bracket ends stuck, not done
+        rng = np.random.default_rng(n + 2)
+        m = random_sym_tridiag(rng, n)
+        got = eigenvalues_bisect(m, tol=1e-300).eigenvalues
+        assert got.tobytes() == _reference_bisect(m, tol=1e-300).tobytes()
+
+    # k = 30 of 200 runs the k solve on the scalar path, the full one on numpy
+    @pytest.mark.parametrize("n, k", [(40, 7), (200, 30), (200, 150)])
+    def test_k_is_prefix_of_full_solve(self, n, k):
+        rng = np.random.default_rng(n + k)
+        m = random_sym_tridiag(rng, n)
+        lo, hi = m.gershgorin()
+        window = (lo - 1.0, hi + 1.0)
+        full = eigenvalues_bisect(m, window=window).eigenvalues
+        got = eigenvalues_bisect(m, window=window, k=k).eigenvalues
+        assert got.tobytes() == full[:k].tobytes()
+
+    def test_k_above_count_returns_whole_window(self, rng):
+        m = random_sym_tridiag(rng, 30)
+        lo, hi = m.gershgorin()
+        window = (lo - 1.0, 0.5 * (lo + hi))
+        full = eigenvalues_bisect(m, window=window).eigenvalues
+        got = eigenvalues_bisect(m, window=window, k=len(full) + 5).eigenvalues
+        assert got.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_k_below_one(self, k):
+        m = SymTridiag(diag=[0.0, 0.0], offdiag=[1.0])
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            eigenvalues_bisect(m, k=k)
+
+    def test_full_spectrum_pass_count(self, monkeypatch):
+        # counts passes, not time: the one-level loop takes 40 here
+        calls = []
+
+        def counting(m, lams, sizes=None):
+            calls.append(len(lams))
+            return _sturm_counts(m, lams, sizes)
+
+        monkeypatch.setattr(tridiag, "_sturm_counts", counting)
+        params = jacobi_params(TwoPhoton(g=0.3, delta=1.0), SectorLabel(1, 0))
+        assert len(spectrum_scan(params, 1000)) == 1000
+        assert len(calls) <= 20
 
 
 class TestExactHits:
