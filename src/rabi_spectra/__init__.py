@@ -48,7 +48,6 @@ from .models import (
     predicted_phase,
     sector_basis_index,
     sectors,
-    verify_decomposition,
 )
 from .spectra import (
     CollapseScan,

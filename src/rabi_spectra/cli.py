@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -360,7 +361,13 @@ def cmd_verify_decomp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing reads the parser and never writes it (each ``parse_args`` makes a
+    fresh namespace), so repeated ``main`` calls in one process reuse it.
+    """
     parser = _Parser(
         prog="rabi-spectra",
         description=(
@@ -420,8 +427,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _REGIME_ERRORS as exc:

@@ -474,20 +474,14 @@ def decomposition_check(model: ModelSpec, cutoff: int) -> DecompositionCheck:
         tiled += L
     assert tiled == H.shape[0] and not cross.diagonal().any(), \
         "sector chains must tile the product basis exactly"
+    # |.| in place over the gathered entries: no second full-size temporary
+    outside = H[cross]
+    del H, cross
     return DecompositionCheck(
         max_block=float(max_block),
         max_boundary=float(max_boundary),
-        max_cross=float(np.abs(H[cross]).max(initial=0.0)),
+        max_cross=float(np.abs(outside, out=outside).max(initial=0.0)),
     )
-
-
-def verify_decomposition(model: ModelSpec, cutoff: int) -> float:
-    """Maximum absolute deviation of the sector reordering from block-diagonal.
-
-    Includes every cross-sector entry (which must be identically zero);
-    thresholding is the caller's job.
-    """
-    return decomposition_check(model, cutoff).max_deviation
 
 
 def critical_trace(model: ModelSpec) -> float | None:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests run through subprocesses, plus output determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabi_spectra import SectorLabel, TwoPhoton, predicted_phase, sectors
+from rabi_spectra import SectorLabel, TwoPhoton, cli, predicted_phase, sectors
 from test_cli_golden import run_main
 
 DATA = Path(__file__).parent / "data"
@@ -229,3 +230,49 @@ class TestOptionValues:
         code, out, err = run_main(argv)
         assert code == 1
         assert message in err
+
+
+class TestInProcessCalls:
+    """Repeated ``cli.main`` calls in one interpreter share one parser."""
+
+    CLASSIFY = ["classify", "--model", "two-photon", "--g", "0.5", "--delta", "1"]
+
+    def test_parser_is_built_on_the_first_call_only(self, monkeypatch):
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(parser, *args, **kwargs):
+            calls.append(args)
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        cli._build_parser.cache_clear()
+        assert run_main(self.CLASSIFY)[0] == 0
+        assert len(calls) > 50  # the whole tree, every subcommand's options
+        calls.clear()
+        assert run_main(self.CLASSIFY)[0] == 0
+        assert run_main(["params", "--model", "two-photon", "--g", "0.3"])[0] == 0
+        assert calls == []
+
+    def test_no_state_leaks_between_calls(self, tmp_path):
+        first = run_main(self.CLASSIFY)
+        assert first[0] == 0 and first[1].startswith("# command=classify")
+        # a usage error exits 1 through the parser's error path
+        code, out, err = run_main(["classify", "--model", "nope", "--g", "1"])
+        assert (code, out) == (1, "") and "invalid choice" in err
+        assert run_main(self.CLASSIFY) == first
+        as_json = run_main(self.CLASSIFY + ["--format", "json"])
+        assert as_json[0] == 0 and json.loads(as_json[1])["meta"]["command"] == "classify"
+        assert run_main(self.CLASSIFY) == first
+        table = tmp_path / "table.csv"
+        assert run_main(self.CLASSIFY + ["--out", str(table)]) == (0, "", "")
+        assert table.read_text() == first[1]
+        assert run_main(self.CLASSIFY) == first
+
+    def test_subcommand_defaults_survive_explicit_values(self):
+        params = ["params", "--model", "two-photon", "--g", "0.3"]
+        default = run_main(params)
+        assert default[0] == 0 and len(parse_csv(default[1])) == 4 * 10  # --n 0..9
+        narrowed = run_main(params + ["--sector", "0+", "--n", "2"])
+        assert [r["n"] for r in parse_csv(narrowed[1])] == ["2"]
+        assert run_main(params) == default

@@ -25,7 +25,6 @@ from rabi_spectra import (
     predicted_phase,
     sector_basis_index,
     sectors,
-    verify_decomposition,
 )
 
 ALL_SECTOR_LABELS = {
@@ -271,14 +270,9 @@ class TestDecomposition:
         assert check.max_boundary <= 1e-12
         assert check.max_cross == 0.0
 
-    def test_verify_returns_max(self):
-        model = TwoPhoton(g=0.7, delta=1.3)
-        check = decomposition_check(model, 64)
-        assert verify_decomposition(model, 64) == check.max_deviation
-
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):
-            verify_decomposition(TwoPhoton(g=1, delta=0), 4)
+            decomposition_check(TwoPhoton(g=1, delta=0), 4)
 
     @pytest.mark.parametrize("where", ["max_block", "max_boundary", "max_cross"])
     def test_seeded_fault_lands_in_its_field(self, monkeypatch, where):

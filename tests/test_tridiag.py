@@ -155,6 +155,55 @@ class TestPrefixLadder:
             _sturm_counts(m, [0.0], sizes)
 
 
+class TestMonotoneCounts:
+    """Computed counts never decrease as the shift grows.
+
+    Bisection stands on this: a count that fell between two shifts could
+    cross brackets.  Every eigenvalue (dense oracle) is taken as a shift with
+    its float neighbours on either side, on both kernel paths and on every
+    row of a cutoff ladder.
+    """
+
+    @staticmethod
+    def assert_monotone(m, extra_points=()):
+        points = np.concatenate([dense_eigenvalues(m), extra_points])
+        lams = np.unique(np.concatenate([
+            np.nextafter(points, -np.inf), points, np.nextafter(points, np.inf),
+        ]))
+        chunk = _SCALAR_MAX_SHIFTS - 1
+        for sizes in (None, sorted({1, m.n_max // 2 or 1, m.n_max})):
+            scalar = np.concatenate([
+                _sturm_counts(m, lams[i : i + chunk], sizes) for i in range(0, lams.size, chunk)
+            ], axis=-1)
+            assert scalar.tolist() == numpy_path_counts(m, lams, sizes).tolist()
+            assert np.all(np.diff(scalar, axis=-1) >= 0)
+
+    @given(st.integers(1, 40), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_float_sections(self, n, seed):
+        self.assert_monotone(random_sym_tridiag(np.random.default_rng(seed), n))
+
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_integer_sections(self, entries):
+        # integer shifts land on zero pivots and on exact integer eigenvalues
+        m = SymTridiag(diag=entries[0], offdiag=entries[1])
+        lo, hi = m.gershgorin()
+        self.assert_monotone(m, np.arange(np.floor(lo) - 1, np.ceil(hi) + 2))
+
+    @pytest.mark.parametrize("n", [2, 7, 16])
+    def test_kac_matrices(self, n):
+        # every eigenvalue of a Kac matrix is an integer
+        self.assert_monotone(_kac(n), np.arange(-n, n + 1.0))
+
+
 class TestEigenvaluesBisect:
     def test_two_by_two_sigma_x(self):
         m = SymTridiag(diag=[0.0, 0.0], offdiag=[1.0])
