@@ -501,8 +501,11 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
 
     In critical regimes the essential half-line is computed from the edge
     indicator polynomial and cross-checked against the closed-form endpoint;
-    a disagreement beyond 1e-9 raises, since both derive from the same
-    modulation data.
+    a disagreement beyond 1e-9 relative to the largest correction limit
+    |r_i| (at least 1) raises, since both derive from the same modulation
+    data.  The indicator sums terms of the size of r, which grows with delta
+    and kappa, so its rounding error does too even where the endpoint stays
+    small (anisotropic: endpoint -1/2, error about 1e-17 delta).
     """
     params = jacobi_params(model, sector)
     clause, kind, closed, trace = model.regime()
@@ -513,7 +516,8 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     s, r = limit_sequences(params.modulation)
     indicator = edge_indicator(params.modulation, mono, s, r)
     halfline = essential_halfline(indicator)
-    if halfline.direction != closed.direction or abs(halfline.endpoint - closed.endpoint) > 1e-9:
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(r))))
+    if halfline.direction != closed.direction or abs(halfline.endpoint - closed.endpoint) > tol:
         raise RuntimeError(
             f"indicator half-line {halfline} disagrees with the closed form {closed} "
             f"for {model.name} sector {sector}"

@@ -11,31 +11,37 @@ Sturm counts are the natural primitive.  Dense QR-style solvers are used
 only as independent oracles in the test suite.
 
 ``_sturm_counts`` is the one Sturm recurrence.  It has two paths with
-bit-identical results, chosen by the number of shifts alone.  A numpy step
-costs a fixed few microseconds of call overhead per row however many shifts
-it carries, while a Python-float step costs about a tenth of a microsecond
-per row and shift.  On a shared 2-core x86 host (Python 3.11, numpy 2.4) one
-numpy step cost as much as 58 to 78 scalar steps (quartiles over repeated
-runs on sections of 300 to 3000 rows), so fewer than
-``_SCALAR_MAX_SHIFTS = 60`` shifts run as per-shift Python loops and more
-as one numpy pass.  Bisection for a few eigenvalues, window ends and edge
-counts fall on the scalar side, full spectra on the numpy side.  Given
-leading-section sizes, one pass also returns the counts of every nested
-leading section (a cutoff ladder), since their pivots are prefixes of the
-largest section's.
+bit-identical results, chosen by the number of shifts alone.  The numpy
+path steps rows in blocks of ``_BLOCK_ELEMS = 2**15`` rows x shifts (256 KB
+of float64): one ``subtract.outer`` forms the block's diag_i - lam, each
+row then takes two in-place ufunc calls, and the block's signs and zero
+pivots are read once at its end.  A numpy step so costs a fixed 1.5-3 us
+of call overhead per row however few shifts it carries, about as much as
+20 Python-float steps (one per row and shift).  On a shared 2-core x86 host
+(Python 3.11, numpy 2.4) the scalar/numpy time ratio was 0.84-1.16 at 16
+shifts, 1.03-1.30 at 20, 1.26-1.38 at 24 and 1.56-2.20 at 32 (medians of 7
+on sections of 300, 1000 and 3000 rows, two sessions), so fewer than
+``_SCALAR_MAX_SHIFTS = 20`` shifts run as per-shift Python loops and the
+rest as one numpy pass.  Bisection for a few eigenvalues, window ends and edge
+counts fall on the scalar side, full spectra and solves for 20 or more
+eigenvalues on the numpy side.  Given leading-section sizes, one pass also
+returns the counts of every nested leading section (a cutoff ladder), since
+their pivots are prefixes of the largest section's.
 
-Bisection halves every bracket once per iteration, and a numpy pass costs
-about the same for 1000 shifts as for 4000, so each pass of a solve whose
-passes run on the numpy path is speculative: it carries the midpoints of
-the next few levels below every distinct bracket, and the iterations read
-their counts by tree position.  The midpoints are the floats one-level
-bisection would pass, so the eigenvalues keep every bit.  On the same
-host a numpy pass over 1000 rows took 11.5 / 15.8 / 19.3 / 22.5 / 25.2 /
-31.7 / 37.1 / 58.4 ms for 60 / 1000 / 2000 / 3000 / 4000 / 6000 / 8000 /
-15000 shifts (medians of 7), and a full 1000-row spectrum took about 40
-passes in 0.5 s one level at a time, 31 passes (no gain) with a budget of
-2000 shifts per pass and 16 or 11 passes in 0.25-0.35 s with budgets from
-3000 to 8000; ``_SPECULATIVE_MAX_SHIFTS = 4000`` sits inside that plateau.
+Bisection halves every bracket once per iteration, and a numpy pass over
+4000 shifts costs about twice one over 1000, so each pass of a solve
+whose passes run on the numpy path is speculative: it carries the
+midpoints of the next few levels below every distinct bracket, and the
+iterations read their counts by tree position.  The midpoints are the
+floats one-level bisection would pass, so the eigenvalues keep every bit.
+On the same host a numpy pass over 1000 rows took 3.0 / 7.3 / 12.2 / 12.5 /
+15.4 / 21.8 / 28.9 ms for 60 / 1000 / 2000 / 3000 / 4000 / 6000 / 8000
+shifts (medians of 7), and two full 1000-row spectra took 441-477 ms in 80
+passes one level at a time, 366-439 ms in 62-64 passes with budgets of
+1000-2000 shifts per pass, 340-374 ms in 32 passes with 3000-4000 (a tie
+in an alternating run), 379-399 ms with 6000 and 501-507 ms in 22 passes
+with 8000 (medians of 5, two sessions); ``_SPECULATIVE_MAX_SHIFTS = 4000``
+sits in the best band.
 The first pass has one bracket, so it settles 11 levels with 2047 shifts.
 Solves with fewer than ``_SCALAR_MAX_SHIFTS`` targets stay one level per
 pass, since a scalar shift costs its full step, but still send one shift
@@ -53,11 +59,14 @@ _EPS = float(np.finfo(float).eps)
 
 # shift count from which one numpy pass beats per-shift Python-float loops
 # (the measured crossover in the module docstring)
-_SCALAR_MAX_SHIFTS = 60
+_SCALAR_MAX_SHIFTS = 20
 
 # shifts one speculative bisection pass may carry on the numpy path (the
 # measured curve in the module docstring)
 _SPECULATIVE_MAX_SHIFTS = 4000
+
+# elements of one numpy block of rows x shifts (256 KB of float64)
+_BLOCK_ELEMS = 1 << 15
 
 
 def _readonly(values) -> np.ndarray:
@@ -155,8 +164,15 @@ def _sturm_counts(m: SymTridiag, lams, sizes=None) -> np.ndarray:
 
     The path follows ``len(lams)`` alone: below ``_SCALAR_MAX_SHIFTS`` (the
     measured crossover, see the module docstring) each shift runs as a
-    Python-float loop, otherwise one numpy pass carries all shifts.  Both make the same IEEE operations in the same order, so their
-    counts (and every bisection bracket built on them) are identical.
+    Python-float loop, otherwise one numpy pass carries all shifts.  Both
+    make the same IEEE operations in the same order, so their counts (and
+    every bisection bracket built on them) are identical.
+
+    The numpy pass steps rows in blocks of ``_BLOCK_ELEMS // len(lams)``
+    rows (at least one), and a block never crosses a ``sizes`` stop.  Zero
+    pivots are looked for once per block: the first one gets the scalar
+    path's nudge, and the rows after it, which divided by zero, are dropped
+    and stepped again as the next block.
 
     With ``sizes=None`` the result has one count per shift.  Otherwise
     ``sizes`` is a strictly increasing sequence in [1, m.n_max] and the
@@ -189,16 +205,37 @@ def _sturm_counts(m: SymTridiag, lams, sizes=None) -> np.ndarray:
                 counts[j, k] = count
                 start = stop
     else:
-        d, count, start = np.full(lams.shape, np.inf), np.zeros(lams.shape, np.int64), 0
-        for j, stop in enumerate(stops):
-            for i in range(start, stop):
-                d = (diag[i] - lams) - off_sq[i] / d
-                zero = d == 0.0
-                if zero.any():
-                    d = np.where(zero, _nudge(diag[i], lams), d)
-                count += d < 0
-            counts[j] = count
-            start = stop
+        off = off_sq.tolist()
+        # no block outgrows the section, so neither does the buffer
+        buf = np.empty((max(1, min(stops[-1], _BLOCK_ELEMS // lams.size)), lams.size))
+        row_views = list(buf)  # once per pass, not once per block
+        carry, t = np.full(lams.shape, np.inf), np.empty(lams.shape)
+        count, start = np.zeros(lams.shape, np.int64), 0
+        # q / d overflows where a shift sits a subnormal step from a pivot,
+        # and rows after a zero pivot divide by it until the block is checked
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for j, stop in enumerate(stops):
+                while start < stop:
+                    block = buf[: stop - start]
+                    end = start + len(block)
+                    np.subtract.outer(diag[start:end], lams, out=block)
+                    d = carry
+                    # zip stops at the block's last row
+                    for row, q in zip(row_views, off[start:end]):
+                        np.divide(q, d, out=t)
+                        np.subtract(row, t, out=row)
+                        d = row
+                    zero = block == 0.0
+                    if zero.any():
+                        # nudge the first zero pivot, drop the rows after it
+                        z = int(np.argmax(zero.any(axis=1)))
+                        block[z] = np.where(zero[z], _nudge(diag[start + z], lams), block[z])
+                        block = block[: z + 1]
+                    # uint16 holds the sum: a block has at most _BLOCK_ELEMS < 2**16 rows
+                    count += (block < 0).sum(axis=0, dtype=np.uint16)
+                    np.copyto(carry, block[-1])
+                    start += len(block)
+                counts[j] = count
     return counts[0] if sizes is None else counts
 
 

@@ -18,10 +18,12 @@ from rabi_spectra import (
     carleman_growth_constant,
     carleman_lower_bound,
     carleman_partial_sums,
+    classify,
     critical_trace,
     decomposition_check,
     hamiltonian_matrix,
     jacobi_params,
+    monodromy,
     predicted_phase,
     sector_basis_index,
     sectors,
@@ -419,6 +421,35 @@ class TestPredictedPhase:
                 hl = predicted_phase(model, sector).essential_spectrum
                 assert hl is not None and hl.direction == direction
                 assert hl.endpoint == pytest.approx(endpoint, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+    def test_critical_points_at_scaled_parameters(self, scale):
+        # the absolute tolerances in monodromy and predicted_phase must hold
+        # however large or small delta (and a free kappa) are
+        cases = [
+            (TwoPhoton(g=0.5, delta=scale), -0.5, "up"),
+            (AnisotropicTwoPhoton(g_plus=0.75, g_minus=0.25, delta=scale), -0.5, "up"),
+            (AnisotropicTwoPhoton(g_plus=1.5, g_minus=0.5, delta=-scale), -0.5, "down"),
+        ]
+        for kappa in [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9]:
+            cases.append((IntensityDependent(g=0.5, delta=scale, kappa=kappa), -kappa, "up"))
+        for kappa in [-0.999, -1e-6, 1e-3, 0.6]:
+            g = float(np.sqrt(1.0 - kappa**2) / 2.0)
+            cases.append((TwoPhotonRabiStark(g=g, delta=scale, kappa=kappa),
+                          (kappa**2 - 1.0 - kappa * scale) / 2.0, "up"))
+        for kappa in [-1.0, 1.0]:
+            cases.append((TwoPhotonRabiStark(g=0.7, delta=scale, kappa=kappa),
+                          -kappa * scale / 2.0, "down"))
+        for model, endpoint, direction in cases:
+            for sector in sectors(model):
+                mono = monodromy(jacobi_params(model, sector).modulation,
+                                 critical_trace=critical_trace(model))
+                assert classify(mono) is PhaseKind.CRITICAL_HALF_LINE
+                report = predicted_phase(model, sector)
+                assert report.kind is PhaseKind.CRITICAL_HALF_LINE
+                hl = report.essential_spectrum
+                assert hl.direction == direction
+                assert hl.endpoint == pytest.approx(endpoint, rel=1e-12, abs=1e-12 * max(1.0, scale))
 
     def test_kappa_zero_propagates_degeneracy(self):
         with pytest.raises(DegenerateParameterError):

@@ -6,6 +6,7 @@ shares no code with the library's Sturm/bisection path; shifts that land
 exactly on an eigenvalue are judged by 50-digit mpmath eigenvalues.
 """
 
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -127,6 +128,14 @@ class TestKernelPaths:
     def test_paths_agree_on_exact_hits(self, diag, offdiag, lams):
         m = SymTridiag(diag=diag, offdiag=offdiag)
         assert numpy_path_counts(m, lams).tolist() == [sturm_count(m, lam) for lam in lams]
+
+    def test_subnormal_shift_warns_nothing(self):
+        # a shift a subnormal step above the eigenvalue 0 overflows q / d
+        m = SymTridiag(diag=[0.0, 0.0, 0.0], offdiag=[1.0, 1.0])
+        lam = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numpy_path_counts(m, [lam]).tolist() == [sturm_count(m, lam)]
 
 
 class TestPrefixLadder:
@@ -309,8 +318,9 @@ def _kac(n):
 class TestSpeculativeBisection:
     """Speculative passes give the one-level loop's eigenvalues bit for bit."""
 
-    # 20 targets stay on the scalar path, 150 put every pass on the numpy path
-    @pytest.mark.parametrize("n", [20, 150])
+    # 12 targets stay on the scalar path, 20 and 150 put every pass on the
+    # numpy path
+    @pytest.mark.parametrize("n", [12, 20, 150])
     @pytest.mark.parametrize("make", [random_sym_tridiag, _integer_sym_tridiag])
     def test_full_spectrum_bytes(self, n, make):
         rng = np.random.default_rng(n)
@@ -318,7 +328,7 @@ class TestSpeculativeBisection:
             m = make(rng, n)
             assert eigenvalues_bisect(m).eigenvalues.tobytes() == _reference_bisect(m).tobytes()
 
-    @pytest.mark.parametrize("n", [20, 150])
+    @pytest.mark.parametrize("n", [12, 20, 150])
     def test_random_window_bytes(self, n):
         rng = np.random.default_rng(n + 1)
         for _ in range(5):
@@ -334,7 +344,7 @@ class TestSpeculativeBisection:
         got = eigenvalues_bisect(m, window=window).eigenvalues
         assert got.tobytes() == _reference_bisect(m, window).tobytes()
 
-    @pytest.mark.parametrize("n", [20, 150])
+    @pytest.mark.parametrize("n", [12, 20, 150])
     def test_stuck_brackets_bytes(self, n):
         # tol far below float spacing: every bracket ends stuck, not done
         rng = np.random.default_rng(n + 2)
@@ -342,8 +352,8 @@ class TestSpeculativeBisection:
         got = eigenvalues_bisect(m, tol=1e-300).eigenvalues
         assert got.tobytes() == _reference_bisect(m, tol=1e-300).tobytes()
 
-    # k = 30 of 200 runs the k solve on the scalar path, the full one on numpy
-    @pytest.mark.parametrize("n, k", [(40, 7), (200, 30), (200, 150)])
+    # k = 15 of 200 runs the k solve on the scalar path, the full one on numpy
+    @pytest.mark.parametrize("n, k", [(40, 7), (200, 15), (200, 30), (200, 150)])
     def test_k_is_prefix_of_full_solve(self, n, k):
         rng = np.random.default_rng(n + k)
         m = random_sym_tridiag(rng, n)
@@ -379,6 +389,102 @@ class TestSpeculativeBisection:
         params = jacobi_params(TwoPhoton(g=0.3, delta=1.0), SectorLabel(1, 0))
         assert len(spectrum_scan(params, 1000)) == 1000
         assert len(calls) <= 20
+
+
+def _reference_counts(m, lams, sizes=None):
+    """The per-row numpy loop that the blocked pass replays.
+
+    One numpy step per row over all shifts; ``_sturm_counts`` must return
+    these counts on its numpy path.
+    """
+    diag, off_sq = m.diag, np.concatenate(([0.0], m.offdiag**2))
+    lams = np.asarray(lams, dtype=float)
+    stops = [m.n_max] if sizes is None else list(sizes)
+    counts = np.empty((len(stops), lams.size), dtype=np.int64)
+    d, count, start = np.full(lams.shape, np.inf), np.zeros(lams.shape, np.int64), 0
+    for j, stop in enumerate(stops):
+        for i in range(start, stop):
+            d = (diag[i] - lams) - off_sq[i] / d
+            zero = d == 0.0
+            if zero.any():
+                d = np.where(zero, tridiag._nudge(diag[i], lams), d)
+            count += d < 0
+        counts[j] = count
+        start = stop
+    return counts[0] if sizes is None else counts
+
+
+def _zero_pivot_section(pivots):
+    """Section whose LDL^T pivots at shift 0 are exactly ``pivots``.
+
+    Entries are 0, +-1 or +-2, and no two zeros are adjacent.  Behind a
+    nonzero pivot p a unit coupling keeps the next pivot exact (1/p is +-1
+    or +-1/2).  Behind a zero pivot a coupling of 2**-100 does, since its
+    square over the nudged pivot (about 2**-148) is far below an ulp of the
+    next diagonal entry.
+    """
+    diag, off = [float(pivots[0])], []
+    for prev, p in zip(pivots, pivots[1:]):
+        off.append(2.0**-100 if prev == 0 else 1.0)
+        diag.append(float(p) if prev == 0 else p + 1.0 / prev)
+    return SymTridiag(diag=diag, offdiag=off)
+
+
+# with blocks of 3 rows: zeros on the first row of the first block (0), on
+# a block's last row (3), twice in one block (7 and 9) and on the section's
+# last row (14)
+_PIVOTS = [0, 1, -2, 0, -1, 2, 1, 0, -1, 0, 2, -2, 1, -1, 0]
+
+
+class TestBlockedPass:
+    """The numpy pass steps rows in blocks and counts like the per-row loop.
+
+    ``_BLOCK_ELEMS`` is set to 1-4 rows' worth of shifts, so a section spans
+    many blocks and zero pivots land on chosen rows of a block.
+    """
+
+    @staticmethod
+    def blocked_counts(monkeypatch, rows, m, lams, sizes=None):
+        lams = np.concatenate([lams, np.zeros(max(0, _SCALAR_MAX_SHIFTS - len(lams)))])
+        monkeypatch.setattr(tridiag, "_BLOCK_ELEMS", rows * lams.size)
+        return _sturm_counts(m, lams, sizes), _reference_counts(m, lams, sizes)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make", [random_sym_tridiag, _integer_sym_tridiag])
+    def test_sections_spanning_many_blocks(self, monkeypatch, rows, make):
+        rng = np.random.default_rng(rows)
+        for n in (1, 2, 5, 37):
+            m = make(rng, n)
+            lo, hi = m.gershgorin()
+            # diagonal entries and integers put zero pivots on inner rows
+            lams = [*rng.uniform(lo - 1.0, hi + 1.0, size=40), *m.diag,
+                    *np.arange(np.floor(lo), np.ceil(hi) + 1.0)]
+            got, want = self.blocked_counts(monkeypatch, rows, m, lams)
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_sizes_stop_inside_and_on_block_ends(self, monkeypatch, rows):
+        rng = np.random.default_rng(10 + rows)
+        m = random_sym_tridiag(rng, 23)
+        lo, hi = m.gershgorin()
+        lams = rng.uniform(lo - 1.0, hi + 1.0, size=70)
+        # multiples of rows end blocks; the others stop inside one
+        sizes = sorted({1, rows, 2 * rows + 1, 3 * rows, 4 * rows + 2, 22, 23})
+        got, want = self.blocked_counts(monkeypatch, rows, m, lams, sizes)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sizes", [None, [1, 4, 8, 10, 15]])
+    def test_zero_pivots(self, monkeypatch, rows, sizes):
+        m = _zero_pivot_section(_PIVOTS)
+        rng = np.random.default_rng(20 + rows)
+        lams = [0.0, *rng.uniform(*m.gershgorin(), size=70)]
+        got, want = self.blocked_counts(monkeypatch, rows, m, lams, sizes)
+        assert got.tolist() == want.tolist()
+        # nudged zero pivots count as positive
+        stops = [m.n_max] if sizes is None else sizes
+        expect = [sum(p < 0 for p in _PIVOTS[:stop]) for stop in stops]
+        assert np.reshape(got, (len(stops), -1))[:, 0].tolist() == expect
 
 
 class TestExactHits:
