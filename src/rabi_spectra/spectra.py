@@ -20,11 +20,13 @@ import numpy as np
 from .modulation import PhaseKind, PhaseReport, PhaseStateError
 from .models import JacobiParams, ModelSpec, SectorLabel, jacobi_params, predicted_phase
 from .tridiag import (
+    SymTridiag,
     TruncatedSpectrum,
+    _bisect_sections,
     _sturm_counts,
     default_bisect_tol,
     eigenvalues_bisect,
-    sturm_count,
+    sturm_count,  # noqa: F401  (spectra.sturm_count is a name the benchmark tracer rebinds)
 )
 
 
@@ -53,16 +55,38 @@ def lowest_eigenvalues(
     k = int(k)
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_lowest_k(k, cutoff)
+    m = params.truncation(cutoff)
+    return _lowest_sections([m], k, [default_bisect_tol(m) if tol is None else tol])[0]
+
+
+def _check_lowest_k(k: int, cutoff: int) -> None:
     if k > cutoff:
         raise ValueError(f"cannot take {k} eigenvalues from a {cutoff}x{cutoff} section")
-    m = params.truncation(cutoff)
-    glo, ghi = m.gershgorin()
-    pad = 1e-9 * max(1.0, abs(glo), abs(ghi))
-    lo = glo - pad
-    hi = min(glo + 1.0, ghi) + pad
-    while sturm_count(m, hi) < k and hi < ghi + pad:
-        hi = min(lo + 2.0 * (hi - lo), ghi + pad)
-    return eigenvalues_bisect(m, window=(lo, hi), tol=tol, k=k).eigenvalues
+
+
+def _lowest_sections(sections: Sequence[SymTridiag], k: int, tols) -> list[np.ndarray]:
+    """The k smallest eigenvalues of each of the equal-size ``sections``, in lockstep.
+
+    Each section's window grows upward from its Gershgorin lower bound,
+    doubling until its Sturm count reaches k; one Sturm pass per doubling
+    counts every section still growing.  The bisection then runs all
+    sections at once (``_bisect_sections``).  Each result is bit for bit
+    the one a solve of that section alone gives.
+    """
+    tols = np.asarray(tols, dtype=float)
+    if not np.all(tols > 0.0):
+        raise ValueError("tol must be strictly positive")
+    glo, ghi = np.array([m.gershgorin() for m in sections]).T
+    pad = 1e-9 * np.maximum(1.0, np.maximum(np.abs(glo), np.abs(ghi)))
+    lo, hi, top = glo - pad, np.minimum(glo + 1.0, ghi) + pad, ghi + pad
+    first, end = _sturm_counts(sections, np.stack((lo, hi), axis=1)).T
+    grow = np.flatnonzero((end < k) & (hi < top))
+    while grow.size:
+        hi[grow] = np.minimum(lo[grow] + 2.0 * (hi[grow] - lo[grow]), top[grow])
+        end[grow] = _sturm_counts([sections[g] for g in grow], hi[grow, None])[:, 0]
+        grow = grow[(end[grow] < k) & (hi[grow] < top[grow])]
+    return _bisect_sections(sections, lo, hi, first, np.minimum(end, first + k), tols)
 
 
 @dataclass(frozen=True)
@@ -108,37 +132,47 @@ def collapse_scan(
     if k < 2:
         raise ValueError("k must be at least 2 to form gaps")
 
-    def solve(g: float) -> tuple[TruncatedSpectrum, bool]:
-        model = model_factory(float(g))
-        params = jacobi_params(model, sector)
-        section = params.truncation(cutoff)
-        applied_tol = tol if tol is not None else default_bisect_tol(section)
-        eigs = lowest_eigenvalues(params, cutoff, k, tol=applied_tol)
-        # the top tenth of the Gershgorin range holds truncation artifacts;
-        # keep them out of the gap statistics
-        glo, ghi = section.gershgorin()
-        eigs = eigs[eigs <= glo + 0.9 * (ghi - glo)]
-        if eigs.size < 2:
-            raise ValueError(
-                f"fewer than two of the lowest {k} eigenvalues lie below the "
-                f"spurious-edge cut at coupling {g!r}; lower k or raise the cutoff"
-            )
-        spec = TruncatedSpectrum(eigs, cutoff, applied_tol)
-        flag = predicted_phase(model, sector).kind is not PhaseKind.EMPTY_ESSENTIAL
-        return spec, flag
-
-    results = [solve(g) for g in grid_arr]
-    spectra = tuple(spec for spec, _ in results)
+    # a grid point fails where a point-by-point scan would: points after a
+    # failing model build are not solved, and its error waits for the checks
+    # of the points before it
+    models, sections, failure = [], [], None
+    for g in grid_arr:
+        try:
+            model = model_factory(float(g))
+            sections.append(jacobi_params(model, sector).truncation(cutoff))
+        except Exception as exc:
+            failure = exc
+            break
+        models.append(model)
+    spectra, flags = [], []
+    if sections:
+        _check_lowest_k(k, int(cutoff))
+        tols = [tol if tol is not None else default_bisect_tol(m) for m in sections]
+        lowest = _lowest_sections(sections, k, tols)
+        for g, model, section, eigs, applied_tol in zip(grid_arr, models, sections, lowest, tols):
+            # the top tenth of the Gershgorin range holds truncation artifacts;
+            # keep them out of the gap statistics
+            glo, ghi = section.gershgorin()
+            eigs = eigs[eigs <= glo + 0.9 * (ghi - glo)]
+            if eigs.size < 2:
+                raise ValueError(
+                    f"fewer than two of the lowest {k} eigenvalues lie below the "
+                    f"spurious-edge cut at coupling {g!r}; lower k or raise the cutoff"
+                )
+            spectra.append(TruncatedSpectrum(eigs, cutoff, applied_tol))
+            flags.append(predicted_phase(model, sector).kind is not PhaseKind.EMPTY_ESSENTIAL)
+    if failure is not None:
+        raise failure
     gaps = [np.diff(spec.eigenvalues) for spec in spectra]
     return CollapseScan(
         couplings=grid_arr,
         sector=sector,
         cutoff=int(cutoff),
         k=k,
-        spectra=spectra,
+        spectra=tuple(spectra),
         mean_gaps=np.array([float(np.mean(g)) for g in gaps]),
         min_gaps=np.array([float(np.min(g)) for g in gaps]),
-        nondiscrete=np.array([flag for _, flag in results], dtype=bool),
+        nondiscrete=np.array(flags, dtype=bool),
     )
 
 

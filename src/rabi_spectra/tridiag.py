@@ -11,9 +11,9 @@ Sturm counts are the natural primitive.  Dense QR-style solvers are used
 only as independent oracles in the test suite.
 
 ``_sturm_counts`` is the one Sturm recurrence.  It has two paths with
-bit-identical results, chosen by the number of shifts alone.  The numpy
-path steps rows in blocks of ``_BLOCK_ELEMS = 2**15`` rows x shifts (256 KB
-of float64): one ``subtract.outer`` forms the block's diag_i - lam, each
+bit-identical results, chosen by the total number of shifts alone.  The
+numpy path steps rows in blocks of ``_BLOCK_ELEMS = 2**15`` rows x shifts
+(256 KB of float64): one ``subtract`` forms the block's diag_i - lam, each
 row then takes two in-place ufunc calls, and the block's signs and zero
 pivots are read once at its end.  A numpy step so costs a fixed 1.5-3 us
 of call overhead per row however few shifts it carries, about as much as
@@ -28,24 +28,40 @@ eigenvalues on the numpy side.  Given leading-section sizes, one pass also
 returns the counts of every nested leading section (a cutoff ladder), since
 their pivots are prefixes of the largest section's.
 
-Bisection halves every bracket once per iteration, and a numpy pass over
-4000 shifts costs about twice one over 1000, so each pass of a solve
-whose passes run on the numpy path is speculative: it carries the
-midpoints of the next few levels below every distinct bracket, and the
-iterations read their counts by tree position.  The midpoints are the
-floats one-level bisection would pass, so the eigenvalues keep every bit.
-On the same host a numpy pass over 1000 rows took 3.0 / 7.3 / 12.2 / 12.5 /
-15.4 / 21.8 / 28.9 ms for 60 / 1000 / 2000 / 3000 / 4000 / 6000 / 8000
-shifts (medians of 7), and two full 1000-row spectra took 441-477 ms in 80
-passes one level at a time, 366-439 ms in 62-64 passes with budgets of
-1000-2000 shifts per pass, 340-374 ms in 32 passes with 3000-4000 (a tie
-in an alternating run), 379-399 ms with 6000 and 501-507 ms in 22 passes
-with 8000 (medians of 5, two sessions); ``_SPECULATIVE_MAX_SHIFTS = 4000``
-sits in the best band.
-The first pass has one bracket, so it settles 11 levels with 2047 shifts.
-Solves with fewer than ``_SCALAR_MAX_SHIFTS`` targets stay one level per
-pass, since a scalar shift costs its full step, but still send one shift
-per distinct bracket rather than one per target.
+A pass can stack G sections of equal size, each with its own row of S
+shifts: a numpy row of pivots is then (G, S), and the row's couplings
+divide as a (G, 1) column.  A stacked row costs more per shift than a
+one-section row, whose couplings divide as Python floats: per row over
+400 rows (G = 20) the stacked pass took 6.2 / 8.6 / 11.4 / 16.4 / 26.7 us
+for 60 / 500 / 1000 / 2000 / 4000 shifts in all, against 3.1 / 4.6 / 6.8
+/ 10.6 / 14.6 us for one 1000-row section (medians of 15).  The crossover
+stays at 20 shifts in all: the scalar/numpy time ratio was 1.02 / 1.24 /
+1.66 at 20 / 24 / 32 shifts for one 300-row section, 1.01 at 20 and 1.21
+at 40 for 20 stacked 400-row sections, and 0.75-0.80 / 0.85-0.92 / 1.22 at
+20 / 24 / 32 for 2 stacked sections of 300 or 1000 rows (medians of 7).
+Two stacked sections would cross later, but their passes seldom carry
+20-31 shifts: a window doubling carries one shift per section still
+growing, and a speculative numpy pass a few hundred or more.
+
+Bisection halves every bracket once per iteration, and each pass is
+speculative: it carries the midpoints of the next d levels below every
+distinct bracket, brackets * (2**d - 1) shifts, and the iterations read
+their counts by tree position.  The midpoints are the floats one-level
+bisection would pass, so the eigenvalues keep every bit.  A numpy pass
+costs per row about ``_NUMPY_ROW_STEPS`` shift-steps plus one per shift:
+the secant of the curves above from 500 to 4000 shifts gives 1130-1150
+for one section (300 and 1000 rows) and for 20 stacked ones, 800 for 2.
+``_speculative_depth`` takes the d of least cost per level, and runs one
+level on the scalar path instead where that is cheaper, a scalar step
+costing what makes the paths tie at ``_SCALAR_MAX_SHIFTS``.  So 1 or 2
+brackets take a scalar level, 4 take 6 levels, 15-30 take 4-5 levels and
+1000 take 2.  In-process, the 2-point bench grids of ``collapse`` (cutoff
+300, k 15) took 22.3-22.5 ms per grid with the constant at 800-1200 and
+24.7-24.9 ms at 1500-2000, and four full 1000-row spectra averaged 208 /
+203 / 204 ms at 1200 / 1500 / 2000 but 246 ms at 1000, where 1000
+brackets drop to one level per pass (medians of 9-13); 1200 keeps both
+near their best.  A full 1000-row spectrum takes 20 passes, a collapse
+grid of 20 points (cutoff 400, k 20) solved in lockstep 22.
 """
 
 from __future__ import annotations
@@ -61,9 +77,9 @@ _EPS = float(np.finfo(float).eps)
 # (the measured crossover in the module docstring)
 _SCALAR_MAX_SHIFTS = 20
 
-# shifts one speculative bisection pass may carry on the numpy path (the
-# measured curve in the module docstring)
-_SPECULATIVE_MAX_SHIFTS = 4000
+# per-row cost of one numpy pass beyond its shifts, in numpy shift-steps
+# (the measured curve in the module docstring); sets the speculative depth
+_NUMPY_ROW_STEPS = 1200
 
 # elements of one numpy block of rows x shifts (256 KB of float64)
 _BLOCK_ELEMS = 1 << 15
@@ -155,62 +171,86 @@ class TruncatedSpectrum:
         return int(self.eigenvalues.size)
 
 
-def _sturm_counts(m: SymTridiag, lams, sizes=None) -> np.ndarray:
+def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
     """Eigenvalue counts of ``m`` strictly below each shift in ``lams``.
 
     Runs the shift-safe LDL^T recurrence d_i = (diag_i - lam) - off_(i-1)^2 / d_(i-1);
     the number of negative d_i equals the number of eigenvalues below the
-    shift.  Callers pass every shift they need on one section in one call.
+    shift.  Callers pass every shift they need in one call.
 
-    The path follows ``len(lams)`` alone: below ``_SCALAR_MAX_SHIFTS`` (the
-    measured crossover, see the module docstring) each shift runs as a
-    Python-float loop, otherwise one numpy pass carries all shifts.  Both
-    make the same IEEE operations in the same order, so their counts (and
-    every bisection bracket built on them) are identical.
+    ``m`` is one section with a 1-d ``lams``, or a sequence of G sections
+    of equal size with ``lams`` of shape (G, S): row g holds the shifts of
+    section g, and the result gains a section axis before the shift axis.
+    Each section sees the same IEEE operations in the same order as when
+    counted alone.
 
-    The numpy pass steps rows in blocks of ``_BLOCK_ELEMS // len(lams)``
+    The path follows the total number of shifts alone: below
+    ``_SCALAR_MAX_SHIFTS`` (the measured crossover, see the module
+    docstring) each shift runs as a Python-float loop, otherwise one numpy
+    pass carries all shifts of all sections.  Both make the same IEEE
+    operations in the same order, so their counts (and every bisection
+    bracket built on them) are identical.
+
+    The numpy pass steps rows in blocks of ``_BLOCK_ELEMS // lams.size``
     rows (at least one), and a block never crosses a ``sizes`` stop.  Zero
-    pivots are looked for once per block: the first one gets the scalar
-    path's nudge, and the rows after it, which divided by zero, are dropped
-    and stepped again as the next block.
+    pivots are looked for once per block: the first row holding one gets
+    the scalar path's nudge there, and the rows after it, which divided by
+    zero, are dropped and stepped again as the next block.
 
     With ``sizes=None`` the result has one count per shift.  Otherwise
-    ``sizes`` is a strictly increasing sequence in [1, m.n_max] and the
+    ``sizes`` is a strictly increasing sequence in [1, n_max] and the
     result has one row per size: row j holds the counts of the leading
     sizes[j] x sizes[j] section, whose pivots are a prefix of the full one's.
     """
-    # a zero coupling into row 0 and d_(-1) = inf give d_0 = diag_0 - lam
-    # exactly, so row 0 runs through the same step as every other row
-    diag, off_sq = m.diag, np.concatenate(([0.0], m.offdiag**2))
+    stacked = not isinstance(m, SymTridiag)
+    sections = tuple(m) if stacked else (m,)
     lams = np.asarray(lams, dtype=float)
-    stops = [m.n_max] if sizes is None else [int(s) for s in sizes]
-    if not stops or stops[0] < 1 or stops[-1] > m.n_max or any(
+    n_max = sections[0].n_max
+    if lams.shape[:-1] != ((len(sections),) if stacked else ()) or any(
+        s.n_max != n_max for s in sections
+    ):
+        raise ValueError("stacked sections need equal sizes and one row of shifts each")
+    lams = lams.reshape(len(sections), -1)
+    stops = [n_max] if sizes is None else [int(s) for s in sizes]
+    if not stops or stops[0] < 1 or stops[-1] > n_max or any(
         b <= a for a, b in zip(stops, stops[1:])
     ):
-        raise ValueError(f"sizes must increase strictly within [1, {m.n_max}]")
+        raise ValueError(f"sizes must increase strictly within [1, {n_max}]")
 
-    counts = np.empty((len(stops), lams.size), dtype=np.int64)
+    # a zero coupling into row 0 and d_(-1) = inf give d_0 = diag_0 - lam
+    # exactly, so row 0 runs through the same step as every other row
+    off_sqs = [np.concatenate(([0.0], s.offdiag**2)) for s in sections]
+    counts = np.empty((len(stops), *lams.shape), dtype=np.int64)
     if lams.size < _SCALAR_MAX_SHIFTS:
-        # memoryviews yield Python floats without a list copy of the section
-        diag_v, off_v = memoryview(diag), memoryview(off_sq)
-        for k, lam in enumerate(lams.tolist()):
-            d, count, start = np.inf, 0, 0
-            for j, stop in enumerate(stops):
-                for b, q in zip(diag_v[start:stop], off_v[start:stop]):
-                    d = (b - lam) - q / d
-                    if d == 0.0:
-                        d = _nudge(b, lam)
-                    if d < 0.0:
-                        count += 1
-                counts[j, k] = count
-                start = stop
+        for g, (section, off_sq) in enumerate(zip(sections, off_sqs)):
+            # memoryviews yield Python floats without a list copy of the section
+            diag_v, off_v = memoryview(section.diag), memoryview(off_sq)
+            for k, lam in enumerate(lams[g].tolist()):
+                d, count, start = np.inf, 0, 0
+                for j, stop in enumerate(stops):
+                    for b, q in zip(diag_v[start:stop], off_v[start:stop]):
+                        d = (b - lam) - q / d
+                        if d == 0.0:
+                            d = _nudge(b, lam)
+                        if d < 0.0:
+                            count += 1
+                    counts[j, g, k] = count
+                    start = stop
     else:
-        off = off_sq.tolist()
+        # a row of pivots is (G, S), and its couplings divide as a (G, 1)
+        # column; one section keeps 1-d rows and divides by Python floats,
+        # which costs less per row
+        if len(sections) == 1:
+            shifts, diag, off = lams[0], sections[0].diag[:, None], off_sqs[0].tolist()
+        else:
+            shifts = lams
+            diag = np.stack([s.diag for s in sections], axis=1)[:, :, None]
+            off = list(np.stack(off_sqs, axis=1)[:, :, None])
         # no block outgrows the section, so neither does the buffer
-        buf = np.empty((max(1, min(stops[-1], _BLOCK_ELEMS // lams.size)), lams.size))
+        buf = np.empty((max(1, min(stops[-1], _BLOCK_ELEMS // lams.size)), *shifts.shape))
         row_views = list(buf)  # once per pass, not once per block
-        carry, t = np.full(lams.shape, np.inf), np.empty(lams.shape)
-        count, start = np.zeros(lams.shape, np.int64), 0
+        carry, t = np.full(shifts.shape, np.inf), np.empty(shifts.shape)
+        count, start = np.zeros(shifts.shape, np.int64), 0
         # q / d overflows where a shift sits a subnormal step from a pivot,
         # and rows after a zero pivot divide by it until the block is checked
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -218,7 +258,7 @@ def _sturm_counts(m: SymTridiag, lams, sizes=None) -> np.ndarray:
                 while start < stop:
                     block = buf[: stop - start]
                     end = start + len(block)
-                    np.subtract.outer(diag[start:end], lams, out=block)
+                    np.subtract(diag[start:end], shifts, out=block)
                     d = carry
                     # zip stops at the block's last row
                     for row, q in zip(row_views, off[start:end]):
@@ -227,15 +267,17 @@ def _sturm_counts(m: SymTridiag, lams, sizes=None) -> np.ndarray:
                         d = row
                     zero = block == 0.0
                     if zero.any():
-                        # nudge the first zero pivot, drop the rows after it
-                        z = int(np.argmax(zero.any(axis=1)))
-                        block[z] = np.where(zero[z], _nudge(diag[start + z], lams), block[z])
+                        # nudge the first zero pivot row, drop the rows after it
+                        z = int(np.argmax(zero.reshape(len(zero), -1).any(axis=1)))
+                        block[z] = np.where(zero[z], _nudge(diag[start + z], shifts), block[z])
                         block = block[: z + 1]
                     # uint16 holds the sum: a block has at most _BLOCK_ELEMS < 2**16 rows
                     count += (block < 0).sum(axis=0, dtype=np.uint16)
                     np.copyto(carry, block[-1])
                     start += len(block)
                 counts[j] = count
+    if not stacked:
+        counts = counts[:, 0]
     return counts[0] if sizes is None else counts
 
 
@@ -289,7 +331,7 @@ def eigenvalues_bisect(
     distinct bracket (``_speculative_counts``), and the iterations read
     their counts by tree position.  Those are the floats a pass per level
     would count at, so every bracket keeps its bits; a full spectrum of
-    1000 rows takes about 16 passes instead of 40.
+    1000 rows takes 20 passes instead of 40.
     """
     if tol is None:
         tol = default_bisect_tol(m)
@@ -309,66 +351,107 @@ def eigenvalues_bisect(
         return TruncatedSpectrum(np.empty(0), m.n_max, tol, (lo, hi))
 
     first, end = _sturm_counts(m, [lo, hi])
-    targets = np.arange(first, end if k is None else min(end, first + k))
-    if targets.size == 0:
-        return TruncatedSpectrum(np.empty(0), m.n_max, tol, (lo, hi))
-
-    los = np.full(targets.size, lo)
-    his = np.full(targets.size, hi)
-    level_counts = []
-    while True:
-        mids = 0.5 * (los + his)
-        done = (his - los) <= 2.0 * tol
-        stuck = (mids <= los) | (mids >= his)
-        if np.all(done | stuck):
-            break
-        if not level_counts:
-            level_counts, node = _speculative_counts(
-                m, los, his, deep=targets.size >= _SCALAR_MAX_SHIFTS
-            )
-        counts = level_counts.pop(0)[node]
-        below = counts >= targets + 1
-        his = np.where(below, mids, his)
-        los = np.where(below, los, mids)
-        # the bracket just taken is child 2*node (down) or 2*node + 1 (up)
-        node = 2 * node + ~below
-    eigs = 0.5 * (los + his)
-    # brackets for consecutive indices can overlap at tol scale; the true
-    # spectrum is simple, so restore (weak) monotonicity
-    eigs = np.maximum.accumulate(eigs)
+    stop = end if k is None else min(end, first + k)
+    eigs = _bisect_sections([m], [lo], [hi], [first], [stop], [tol])[0]
     return TruncatedSpectrum(eigs, m.n_max, tol, (lo, hi))
 
 
-def _speculative_counts(
-    m: SymTridiag, los: np.ndarray, his: np.ndarray, deep: bool
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
+    """Eigenvalues first[g] .. stop[g] - 1 of each section ms[g], bisected in lockstep.
+
+    Section g's targets start bracketed by [lo[g], hi[g]) and are halved to
+    half-width tol[g].  Every iteration halves each bracket of every section
+    still running, and a section stops once all of its targets are done or
+    stuck, where a solve of it alone would break.  So each section gets the
+    bytes a solve of it alone gives, while each Sturm pass counts the next
+    levels of all sections at once (``_speculative_counts``).
+    """
+    sizes = np.maximum(np.asarray(stop) - np.asarray(first), 0)
+    sec = np.repeat(np.arange(len(ms)), sizes)
+    offset = np.repeat(np.asarray(first) - (np.cumsum(sizes) - sizes), sizes)
+    targets = np.arange(sec.size) + offset
+    los = np.asarray(lo, dtype=float)[sec]
+    his = np.asarray(hi, dtype=float)[sec]
+    tols = np.asarray(tol, dtype=float)[sec]
+    level_counts = []
+    while True:
+        mids = 0.5 * (los + his)
+        done = (his - los) <= 2.0 * tols
+        stuck = (mids <= los) | (mids >= his)
+        live = np.bincount(sec[~(done | stuck)], minlength=len(ms)) > 0
+        if not live.any():
+            break
+        if not level_counts:
+            level_counts, row, node = _speculative_counts(ms, los, his, sec, live)
+        below = level_counts.pop(0)[row, node] >= targets + 1
+        move = live[sec]
+        his = np.where(move & below, mids, his)
+        los = np.where(move & ~below, mids, los)
+        # the bracket just taken is child 2*node (down) or 2*node + 1 (up)
+        node = 2 * node + ~below
+    eigs = np.split(0.5 * (los + his), np.cumsum(sizes)[:-1])
+    # brackets for consecutive indices can overlap at tol scale; the true
+    # spectrum is simple, so restore (weak) monotonicity
+    return [np.maximum.accumulate(e) for e in eigs]
+
+
+def _speculative_depth(brackets: int) -> int:
+    """Bisection levels one Sturm pass should settle for ``brackets`` brackets.
+
+    Settling d levels takes brackets * (2**d - 1) shifts.  Per row, a numpy
+    pass costs ``_NUMPY_ROW_STEPS`` plus one step per shift, and a scalar
+    pass (fewer than ``_SCALAR_MAX_SHIFTS`` shifts) a scalar step per shift,
+    where a scalar step costs what makes the two paths tie at the
+    crossover.  Returns the depth of least cost per level; past
+    2**d > _NUMPY_ROW_STEPS deeper passes only cost more.
+    """
+    scalar_step = (_NUMPY_ROW_STEPS + _SCALAR_MAX_SHIFTS) / _SCALAR_MAX_SHIFTS
+
+    def cost_per_level(d: int) -> float:
+        shifts = brackets * (2**d - 1)
+        if shifts < _SCALAR_MAX_SHIFTS:
+            return shifts * scalar_step / d
+        return (_NUMPY_ROW_STEPS + shifts) / d
+
+    return min(range(1, _NUMPY_ROW_STEPS.bit_length() + 2), key=cost_per_level)
+
+
+def _speculative_counts(ms, los, his, sec, live):
     """Sturm counts at the midpoints of the next bisection levels of each bracket.
 
-    Targets sharing a bracket are adjacent (a lower target's path never
-    passes a higher one's), so they group without a sort.  Each distinct
-    bracket roots a tree; level l holds its 2**l descendants, child
-    ``2*node`` taking the lower half and ``2*node + 1`` the upper.  With
-    ``deep`` the tree is as deep as ``_SPECULATIVE_MAX_SHIFTS`` allows,
-    else one level.  Returns the counts of each level, in that order, and
-    each target's node on the first.
+    Covers the targets of the ``live`` sections; ``sec`` gives each
+    target's section.  Targets sharing a bracket are adjacent (a lower
+    target's path never passes a higher one's), so they group without a
+    sort.  Each distinct bracket roots a tree; level l holds its 2**l
+    descendants, child ``2*node`` taking the lower half and ``2*node + 1``
+    the upper.  Each live section gets one row of shifts, padded to equal
+    length by repeating its last bracket, and one stacked pass counts them
+    all, ``_speculative_depth`` levels deep.  Returns the counts of each
+    level (live section x node), in that order, and each target's row and
+    node on the first; both are 0 for targets of other sections.
     """
-    new = np.empty(los.size, dtype=bool)
+    pick = np.flatnonzero(live[sec])
+    lo, hi, s = los[pick], his[pick], sec[pick]
+    new = np.empty(pick.size, dtype=bool)
     new[0] = True
-    new[1:] = (los[1:] != los[:-1]) | (his[1:] != his[:-1])
-    node = np.cumsum(new) - 1
-    lows, highs = los[new], his[new]
-    depth = 1
-    if deep:
-        # the largest depth whose 2**depth - 1 shifts per bracket fit the budget
-        depth = max(1, (_SPECULATIVE_MAX_SHIFTS // lows.size + 1).bit_length() - 1)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (s[1:] != s[:-1])
+    bracket = np.cumsum(new) - 1
+    row = (np.cumsum(live) - 1)[s]
+    widths = np.bincount(row[new])
+    starts = np.cumsum(widths) - widths
+    pad = starts[:, None] + np.minimum(np.arange(widths.max()), widths[:, None] - 1)
+    lows, highs = lo[new][pad], hi[new][pad]
     mids = [0.5 * (lows + highs)]
-    for _ in range(1, depth):
+    for _ in range(1, _speculative_depth(lows.size)):
         # interleave the children so that node j's lie at 2*j and 2*j + 1
-        lows = np.stack((lows, mids[-1]), axis=1).ravel()
-        highs = np.stack((mids[-1], highs), axis=1).ravel()
+        lows = np.stack((lows, mids[-1]), axis=2).reshape(len(pad), -1)
+        highs = np.stack((mids[-1], highs), axis=2).reshape(len(pad), -1)
         mids.append(0.5 * (lows + highs))
-    counts = _sturm_counts(m, np.concatenate(mids))
-    return np.split(counts, np.cumsum([level.size for level in mids[:-1]])), node
+    counts = _sturm_counts([m for m, keep in zip(ms, live) if keep], np.concatenate(mids, axis=1))
+    levels = np.split(counts, np.cumsum([level.shape[1] for level in mids[:-1]]), axis=1)
+    rows, nodes = np.zeros(sec.size, dtype=np.int64), np.zeros(sec.size, dtype=np.int64)
+    rows[pick], nodes[pick] = row, bracket - starts[row]
+    return levels, rows, nodes
 
 
 def carleman_partial_sums(a: Callable, n_terms: int) -> np.ndarray:

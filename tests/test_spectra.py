@@ -5,20 +5,29 @@ import pytest
 
 from rabi_spectra import (
     AnisotropicTwoPhoton,
+    DegenerateParameterError,
     IntensityDependent,
     PhaseStateError,
     SectorLabel,
+    SymTridiag,
     TwoPhoton,
+    TwoPhotonRabiStark,
+    cli,
     collapse_scan,
     edge_density,
+    eigenvalues_bisect,
     jacobi_params,
     lowest_eigenvalues,
     predicted_phase,
     spectrum_scan,
     sturm_count,
 )
+from rabi_spectra import spectra, tridiag
+from rabi_spectra.models import JacobiParams
+from rabi_spectra.spectra import _lowest_sections
+from rabi_spectra.tridiag import _bisect_sections, default_bisect_tol
 
-from conftest import dense_eigenvalues
+from conftest import dense_eigenvalues, random_sym_tridiag
 
 
 class TestSpectrumScan:
@@ -183,3 +192,190 @@ class TestCutoffMonotonicity:
         small = lowest_eigenvalues(params, 119, 12, tol=1e-13)
         assert np.all(big[:11] <= small[:11] + 1e-12)
         assert np.all(small[:11] <= big[1:] + 1e-12)
+
+
+def _lowest_alone(m, k, tol):
+    """One section's lowest k as ``lowest_eigenvalues`` solved it before lockstep.
+
+    Grows the window with one ``sturm_count`` per doubling, then bisects
+    the section alone; the lockstep solve must return these bytes.
+    """
+    glo, ghi = m.gershgorin()
+    pad = 1e-9 * max(1.0, abs(glo), abs(ghi))
+    lo, hi = glo - pad, min(glo + 1.0, ghi) + pad
+    while sturm_count(m, hi) < k and hi < ghi + pad:
+        hi = min(lo + 2.0 * (hi - lo), ghi + pad)
+    return eigenvalues_bisect(m, window=(lo, hi), tol=tol, k=k).eigenvalues
+
+
+def _discrete_grid(rng, family, size):
+    """A coupling grid inside the purely discrete regime of one model family."""
+    delta = float(rng.uniform(-2.0, 2.0))
+    if family == "two-photon":
+        make, g_max = (lambda g: TwoPhoton(g=g, delta=delta)), 0.47
+    elif family == "intensity":
+        kappa = float(rng.uniform(0.2, 2.0))
+        make, g_max = (lambda g: IntensityDependent(g=g, delta=delta, kappa=kappa)), 0.47
+    elif family == "anisotropic":
+        half = float(rng.uniform(0.02, 0.09))
+        make, g_max = (lambda g: AnisotropicTwoPhoton(g_plus=g + half, g_minus=g - half, delta=delta)), 0.47
+    else:
+        kappa = float(rng.uniform(-0.8, 0.8))
+        make, g_max = (lambda g: TwoPhotonRabiStark(g=g, delta=delta, kappa=kappa)), 0.97 * np.sqrt(1 - kappa**2) / 2
+    return make, np.sort(rng.uniform(0.12, g_max, size))
+
+
+_FAMILIES = ["two-photon", "intensity", "anisotropic", "rabi-stark"]
+
+
+class TestLockstep:
+    """Grid points solved in lockstep keep the bytes of solves one section at a time."""
+
+    @staticmethod
+    def grid_sections(rng, family, cutoff):
+        make, grid = _discrete_grid(rng, family, int(rng.integers(1, 21)))
+        sign = int(rng.choice([-1, 1]))
+        sector = SectorLabel(sign) if family == "intensity" else SectorLabel(sign, int(rng.integers(0, 2)))
+        return [jacobi_params(make(float(g)), sector).truncation(cutoff) for g in grid]
+
+    def check(self, ms, k, tols, reference=None):
+        want = reference or [_lowest_alone(m, k, tol).tobytes() for m, tol in zip(ms, tols)]
+        got = [e.tobytes() for e in _lowest_sections(ms, k, tols)]
+        assert got == want
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    @pytest.mark.parametrize("cutoff", [100, 300])
+    def test_random_grids_bytes(self, family, cutoff):
+        rng = np.random.default_rng(cutoff + _FAMILIES.index(family))
+        for _ in range(2):
+            ms = self.grid_sections(rng, family, cutoff)
+            self.check(ms, int(rng.integers(2, 21)), [default_bisect_tol(m) for m in ms])
+
+    # 1 sends every pass to numpy, 10**9 every pass to the scalar loop; blocks
+    # of a few rows put many block ends inside each pass
+    @pytest.mark.parametrize("scalar_max, block_rows", [(1, 3), (1, None), (10**9, None)])
+    def test_both_kernel_paths(self, monkeypatch, scalar_max, block_rows):
+        rng = np.random.default_rng(scalar_max)
+        ms = self.grid_sections(rng, "two-photon", 100)[:6]
+        tols = [default_bisect_tol(m) for m in ms]
+        want = [_lowest_alone(m, 12, tol).tobytes() for m, tol in zip(ms, tols)]
+        monkeypatch.setattr(tridiag, "_SCALAR_MAX_SHIFTS", scalar_max)
+        if block_rows is not None:
+            monkeypatch.setattr(tridiag, "_BLOCK_ELEMS", block_rows)
+        self.check(ms, 12, tols, want)
+
+    def test_stuck_brackets_bytes(self):
+        # tol far below float spacing: every bracket ends stuck, not done
+        rng = np.random.default_rng(11)
+        ms = self.grid_sections(rng, "intensity", 100)
+        self.check(ms, 8, [1e-300] * len(ms))
+
+    def test_sections_with_different_target_counts(self):
+        # windows holding 0, a few and many eigenvalues, k above some counts,
+        # and tolerances from loose to stuck
+        rng = np.random.default_rng(12)
+        ms = [random_sym_tridiag(rng, 40) for _ in range(6)]
+        windows = [(-9.0, -8.0), (-1.0, 0.0), (-5.0, 5.0), (0.0, 2.5), (-2.0, 9.0), (1.0, 1.5)]
+        tols = [1e-3, 1e-12, 1e-300, 1e-9, 1e-12, 1e-6]
+        k = 7
+        lo, hi = np.array(windows).T
+        first, end = np.array([tridiag._sturm_counts(m, w) for m, w in zip(ms, windows)]).T
+        got = _bisect_sections(ms, lo, hi, first, np.minimum(end, first + k), tols)
+        want = [eigenvalues_bisect(m, window=w, tol=t, k=k).eigenvalues
+                for m, w, t in zip(ms, windows, tols)]
+        counts = {len(w) for w in want}
+        assert {0, k} <= counts and len(counts) >= 4
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_bracket_shared_across_sections(self):
+        # after one level both sections hold a target in [0, 2): the last of
+        # the first section and the first of the second, whose other target
+        # lies in [2, 4)
+        ms = [SymTridiag(diag=[0.5, 1.0, 10.0, 11.0], offdiag=[1e-3] * 3),
+              SymTridiag(diag=[1.5, 3.0, 10.0, 11.0], offdiag=[1e-3] * 3)]
+        got = _bisect_sections(ms, [0.0, 0.0], [4.0, 4.0], [0, 0], [2, 2], [1e-12, 1e-12])
+        want = [eigenvalues_bisect(m, window=(0.0, 4.0), tol=1e-12).eigenvalues for m in ms]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_one_truncation_per_grid_point(self, monkeypatch):
+        calls = []
+        truncation = JacobiParams.truncation
+
+        def counting(self, n_max):
+            calls.append(n_max)
+            return truncation(self, n_max)
+
+        monkeypatch.setattr(JacobiParams, "truncation", counting)
+        grid = [0.30, 0.35, 0.40, 0.45]
+        collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 100, 10)
+        assert calls == [100] * len(grid)
+
+    def test_golden_grid_pass_count(self, monkeypatch):
+        # counts passes, not time: a solve per grid point took 236 here
+        calls = []
+        sturm_counts = tridiag._sturm_counts
+
+        def counting(m, lams, sizes=None):
+            calls.append(np.size(lams))
+            return sturm_counts(m, lams, sizes)
+
+        monkeypatch.setattr(tridiag, "_sturm_counts", counting)
+        monkeypatch.setattr(spectra, "_sturm_counts", counting)
+        grid = np.round(np.arange(0.30, 0.495, 0.01), 2)
+        scan = collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 400, 20)
+        assert len(scan.spectra) == 20
+        assert len(calls) <= 40
+
+
+class TestCollapseErrors:
+    """The lockstep scan raises the error of the first failing grid point."""
+
+    # g = 0.05 fails the spurious-edge cut at cutoff 2, k 2; the others pass it
+    @staticmethod
+    def factory(fail_factory=()):
+        def make(g):
+            if g in fail_factory:
+                raise DegenerateParameterError(f"factory failed at {g}")
+            return TwoPhoton(g=g, delta=1.0)
+        return make
+
+    @pytest.fixture
+    def phase_fails_at(self, monkeypatch):
+        failing = set()
+
+        def checked(model, sector):
+            if model.g in failing:
+                raise RuntimeError(f"phase failed at {model.g}")
+            return predicted_phase(model, sector)
+
+        monkeypatch.setattr(spectra, "predicted_phase", checked)
+        return failing
+
+    def scan(self, grid, fail_factory=()):
+        return collapse_scan(self.factory(fail_factory), grid, SectorLabel(1, 0), 2, 2)
+
+    def test_cut_before_later_failures(self, phase_fails_at):
+        phase_fails_at.add(0.3)
+        with pytest.raises(ValueError, match=r"spurious-edge cut at coupling .*0\.05\b"):
+            self.scan([0.05, 0.3, 0.4], fail_factory={0.4})
+
+    def test_phase_before_later_factory_failure(self, phase_fails_at):
+        phase_fails_at.add(0.3)
+        with pytest.raises(RuntimeError, match="phase failed at 0.3"):
+            self.scan([0.3, 0.4], fail_factory={0.4})
+
+    def test_factory_before_later_cut_failure(self):
+        with pytest.raises(DegenerateParameterError, match="factory failed at 0.04"):
+            self.scan([0.04, 0.05, 0.3], fail_factory={0.04})
+        with pytest.raises(DegenerateParameterError, match="factory failed at 0.35"):
+            self.scan([0.3, 0.35, 0.4], fail_factory={0.35})
+
+    @pytest.mark.parametrize(
+        "grid, code, message",
+        [("0.05,0.3", 1, "spurious-edge cut at coupling"), ("0.3,0.4", 0, "")],
+    )
+    def test_cli_exit_codes(self, capsys, grid, code, message):
+        argv = ["collapse", "--model", "two-photon", "--delta", "1", "--grid", grid,
+                "--cutoff", "2", "-k", "2", "--sector", "0+"]
+        assert cli.main(argv) == code
+        assert message in capsys.readouterr().err

@@ -487,6 +487,68 @@ class TestBlockedPass:
         assert np.reshape(got, (len(stops), -1))[:, 0].tolist() == expect
 
 
+class TestStackedPass:
+    """G stacked sections count as each section counts alone, on both paths."""
+
+    @staticmethod
+    def sections(rng, n):
+        # float, integer and zero-pivot sections of one size
+        pivots = (_PIVOTS * (n // len(_PIVOTS) + 1))[:n]
+        return [random_sym_tridiag(rng, n), _integer_sym_tridiag(rng, n),
+                _zero_pivot_section(pivots), random_sym_tridiag(rng, n)]
+
+    @pytest.mark.parametrize("shifts", [1, 4, 30])
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("sizes", [None, [1, 4, 8, 10, 15]])
+    def test_rows_equal_sections_alone(self, monkeypatch, shifts, rows, sizes):
+        # 4 sections x 1 or 4 shifts run scalar, x 30 on numpy; rows=None
+        # keeps the default block size
+        rng = np.random.default_rng(shifts)
+        ms = self.sections(rng, 15)
+        lams = np.stack([[0.0, *rng.uniform(*m.gershgorin(), size=shifts - 1)] for m in ms])
+        lams[1, -1] = 1.0  # an integer shift on the integer section
+        if rows is not None:
+            monkeypatch.setattr(tridiag, "_BLOCK_ELEMS", rows * lams.size)
+        got = _sturm_counts(ms, lams, sizes)
+        alone = [_reference_counts(m, row, sizes) for m, row in zip(ms, lams)]
+        assert got.tolist() == np.stack(alone, axis=-2).tolist()
+
+    def test_one_section_stack_is_the_plain_call(self):
+        m = random_sym_tridiag(np.random.default_rng(5), 30)
+        lams = np.linspace(-4.0, 4.0, 50)
+        assert _sturm_counts([m], lams[None]).tolist() == [_sturm_counts(m, lams).tolist()]
+
+    @pytest.mark.parametrize("lams", [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3)])
+    def test_rejects_unequal_sections_or_shift_rows(self, lams):
+        ms = [random_sym_tridiag(np.random.default_rng(6), 4), SymTridiag(np.zeros(5), np.ones(4))]
+        with pytest.raises(ValueError, match="equal sizes"):
+            _sturm_counts(ms, lams)
+
+
+class TestSpeculativeDepth:
+    """The depth rule: least per-level cost of one pass, scalar levels where cheaper."""
+
+    def test_documented_depths(self):
+        depth = tridiag._speculative_depth
+        # a lone bracket or two run one scalar level, a handful speculate deep,
+        # 15-30 brackets 4-5 levels and 1000 brackets two
+        assert [depth(b) for b in (1, 2)] == [1, 1]
+        assert depth(4) >= 6
+        assert all(depth(b) in (4, 5) for b in range(15, 31))
+        assert depth(1000) == 2
+
+    def test_depth_minimises_cost_per_level(self):
+        c, x = tridiag._NUMPY_ROW_STEPS, _SCALAR_MAX_SHIFTS
+
+        def cost(b, d):
+            shifts = b * (2**d - 1)
+            return (shifts * (c + x) / x if shifts < x else c + shifts) / d
+
+        for b in (1, 3, 7, 20, 64, 300, 5000):
+            d = tridiag._speculative_depth(b)
+            assert all(cost(b, d) <= cost(b, e) for e in range(1, 40))
+
+
 class TestExactHits:
     """Shifts and window ends that land exactly on an eigenvalue.
 
