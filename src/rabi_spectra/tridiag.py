@@ -43,6 +43,27 @@ Two stacked sections would cross later, but their passes seldom carry
 20-31 shifts: a window doubling carries one shift per section still
 growing, and a speculative numpy pass a few hundred or more.
 
+A numpy pass stops at the block boundary after which every remaining
+pivot is provably positive.  Per section it walks the same recurrence in
+Python floats at the largest shift, from the least carried pivot
+(``_pivot_floor``).  Rounded - and / are monotone, so each shift's pivot
+stays at or above the walk's, row by row; while the walk stays positive
+no shift gains a negative or zero pivot, and every later count equals
+the current one.  A section is walked only where every section not yet
+certified has a positive carried pivot at its largest shift, so a pass
+that never certifies (a full spectrum's) reads one float per block, and
+a walk that fails waits for the pass to step past its failing row and
+then goes first, so the walks read about one tail per section and pass.
+Certified sections stay in the stack: per-row ufunc overhead, not the
+shift count, dominates a stacked row, so only rows no section steps save
+time.  On the bench ``collapse`` ops (cutoff 300, 2 sections x 225
+shifts) 68 % of numpy-pass rows are skipped, for about 4,000 walk steps
+per op; the golden run skips 23 %.  Blocks keep their height: capping
+them at 16 / 24 / 32 / 48 rows gave 11.4-13.3 / 11.8-12.8 / 11.8-13.2 /
+12.1-13.2 ms per ``collapse`` op against 12.1-13.6 uncapped (3-5 seeds,
+medians of 9-15, within this host's noise), and the golden run took 98 /
+96 ms at 16 / 32 rows against 92 uncapped.
+
 Bisection halves every bracket once per iteration, and each pass is
 speculative: it carries the midpoints of the next d levels below every
 distinct bracket, brackets * (2**d - 1) shifts, and the iterations read
@@ -51,17 +72,22 @@ bisection would pass, so the eigenvalues keep every bit.  A numpy pass
 costs per row about ``_NUMPY_ROW_STEPS`` shift-steps plus one per shift:
 the secant of the curves above from 500 to 4000 shifts gives 1130-1150
 for one section (300 and 1000 rows) and for 20 stacked ones, 800 for 2.
-``_speculative_depth`` takes the d of least cost per level, and runs one
-level on the scalar path instead where that is cheaper, a scalar step
-costing what makes the paths tie at ``_SCALAR_MAX_SHIFTS``.  So 1 or 2
-brackets take a scalar level, 4 take 6 levels, 15-30 take 4-5 levels and
-1000 take 2.  In-process, the 2-point bench grids of ``collapse`` (cutoff
-300, k 15) took 22.3-22.5 ms per grid with the constant at 800-1200 and
-24.7-24.9 ms at 1500-2000, and four full 1000-row spectra averaged 208 /
-203 / 204 ms at 1200 / 1500 / 2000 but 246 ms at 1000, where 1000
-brackets drop to one level per pass (medians of 9-13); 1200 keeps both
-near their best.  A full 1000-row spectrum takes 20 passes, a collapse
-grid of 20 points (cutoff 400, k 20) solved in lockstep 22.
+A level runs on the scalar path instead where that is cheaper, a scalar
+step costing what makes the paths tie at ``_SCALAR_MAX_SHIFTS``.  The
+bracket count doubles per level up to the number of targets, and
+``_speculative_depth`` takes the first depth of the passes of least total
+cost until it gets there; from there on that is the depth of least cost
+per level.  So with a bracket per target 1 or 2 brackets take a scalar
+level, 4 take 6 levels, 15-30 take 4-5 levels and 1000 take 2, while a
+full spectrum's one bracket over 1000 targets takes 12 levels at once.
+In-process, the 2-point bench grids of ``collapse`` (cutoff 300, k 15)
+took 22.3-22.5 ms per grid with the constant at 800-1200 and 24.7-24.9 ms
+at 1500-2000, and four full 1000-row spectra averaged 208 / 203 / 204 ms
+at 1200 / 1500 / 2000 but 246 ms at 1000, where 1000 brackets drop to
+one level per pass (medians of 9-13); 1200 keeps both near their best.
+A full 1000-row spectrum takes 16 passes (20 when the depth held the
+bracket count fixed), a collapse grid of 20 points (cutoff 400, k 20)
+solved in lockstep 21.
 """
 
 from __future__ import annotations
@@ -197,6 +223,15 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
     the scalar path's nudge there, and the rows after it, which divided by
     zero, are dropped and stepped again as the next block.
 
+    The pass stops at a block's end once every section is certified: the
+    recurrence walked at the section's largest shift from its least
+    carried pivot (``_pivot_floor``) stays positive to the last row, and
+    by monotone rounding so do all its shifts' pivots, so no later count
+    changes.  A section is certified once and stays in the stack.  Walks
+    run only where every section not yet certified has a positive carried
+    pivot at its largest shift, and a section whose walk failed waits
+    until the pass has stepped past the failing row.
+
     With ``sizes=None`` the result has one count per shift.  Otherwise
     ``sizes`` is a strictly increasing sequence in [1, n_max] and the
     result has one row per size: row j holds the counts of the leading
@@ -220,11 +255,11 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
     # a zero coupling into row 0 and d_(-1) = inf give d_0 = diag_0 - lam
     # exactly, so row 0 runs through the same step as every other row
     off_sqs = [np.concatenate(([0.0], s.offdiag**2)) for s in sections]
+    # memoryviews yield Python floats without a list copy of the section
+    views = [(memoryview(s.diag), memoryview(off_sq)) for s, off_sq in zip(sections, off_sqs)]
     counts = np.empty((len(stops), *lams.shape), dtype=np.int64)
     if lams.size < _SCALAR_MAX_SHIFTS:
-        for g, (section, off_sq) in enumerate(zip(sections, off_sqs)):
-            # memoryviews yield Python floats without a list copy of the section
-            diag_v, off_v = memoryview(section.diag), memoryview(off_sq)
+        for g, (diag_v, off_v) in enumerate(views):
             for k, lam in enumerate(lams[g].tolist()):
                 d, count, start = np.inf, 0, 0
                 for j, stop in enumerate(stops):
@@ -250,7 +285,13 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
         buf = np.empty((max(1, min(stops[-1], _BLOCK_ELEMS // lams.size)), *shifts.shape))
         row_views = list(buf)  # once per pass, not once per block
         carry, t = np.full(shifts.shape, np.inf), np.empty(shifts.shape)
-        count, start = np.zeros(shifts.shape, np.int64), 0
+        count, start, n = np.zeros(shifts.shape, np.int64), 0, stops[-1]
+        # per section: its carried pivots, the flat index of its largest
+        # shift (in lams and carry alike) and the row from which its tail may
+        # be checked again
+        carries = carry.reshape(lams.shape)
+        tops = (lams.argmax(axis=1) + lams.shape[1] * np.arange(len(sections))).tolist()
+        retry, uncertified = [0] * len(sections), list(range(len(sections)))
         # q / d overflows where a shift sits a subnormal step from a pivot,
         # and rows after a zero pivot divide by it until the block is checked
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -275,10 +316,52 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
                     count += (block < 0).sum(axis=0, dtype=np.uint16)
                     np.copyto(carry, block[-1])
                     start += len(block)
+                    # walk tails only where the pass could stop: every section
+                    # not yet certified is due and has a positive pivot at its
+                    # largest shift, which its certificate needs
+                    if start < n and all(
+                        retry[g] <= start and carry.item(tops[g]) > 0.0 for g in uncertified
+                    ):
+                        while uncertified:
+                            g = uncertified.pop()
+                            diag_v, off_v = views[g]
+                            walked, bound = _pivot_floor(
+                                zip(diag_v[start:n], off_v[start:n]),
+                                carries[g].min().item(),
+                                lams.item(tops[g]),
+                            )
+                            if not 0.0 < bound < np.inf:
+                                # checked again, and first, once past the failing row
+                                retry[g] = start + walked
+                                uncertified.append(g)
+                                break
+                        else:
+                            start = n  # every count stays as it is
                 counts[j] = count
     if not stacked:
         counts = counts[:, 0]
     return counts[0] if sizes is None else counts
+
+
+def _pivot_floor(rows, d, lam):
+    """Walk a lower bound on the pivots of every shift <= ``lam`` over ``rows``.
+
+    ``rows`` yields (diag_i, off_(i-1)^2) from the row after the carried
+    pivots, whose least is ``d``.  The walk runs the recurrence at ``lam``
+    from ``d``: rounded - and / are monotone, so while its bound stays
+    positive every shift <= lam keeps a pivot at or above it, row by row.
+    Stops at the first bound that is not positive and finite, having
+    checked ``d`` first.  Returns the rows walked and the last bound (``d``
+    if none).
+    """
+    walked = 0
+    if 0.0 < d < np.inf:
+        for b, q in rows:
+            d = (b - lam) - q / d
+            walked += 1
+            if not 0.0 < d < np.inf:
+                break
+    return walked, d
 
 
 def _nudge(b, lam):
@@ -331,7 +414,7 @@ def eigenvalues_bisect(
     distinct bracket (``_speculative_counts``), and the iterations read
     their counts by tree position.  Those are the floats a pass per level
     would count at, so every bracket keeps its bits; a full spectrum of
-    1000 rows takes 20 passes instead of 40.
+    1000 rows takes 16 passes instead of 40.
     """
     if tol is None:
         tol = default_bisect_tol(m)
@@ -395,25 +478,43 @@ def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
     return [np.maximum.accumulate(e) for e in eigs]
 
 
-def _speculative_depth(brackets: int) -> int:
+def _speculative_depth(brackets: int, targets: int) -> int:
     """Bisection levels one Sturm pass should settle for ``brackets`` brackets.
 
-    Settling d levels takes brackets * (2**d - 1) shifts.  Per row, a numpy
+    Settling d levels takes brackets * (2**d - 1) shifts and leaves up to
+    brackets * 2**d brackets, never more than ``targets``.  Per row, a numpy
     pass costs ``_NUMPY_ROW_STEPS`` plus one step per shift, and a scalar
     pass (fewer than ``_SCALAR_MAX_SHIFTS`` shifts) a scalar step per shift,
     where a scalar step costs what makes the two paths tie at the
-    crossover.  Returns the depth of least cost per level; past
-    2**d > _NUMPY_ROW_STEPS deeper passes only cost more.
+    crossover.  Once the brackets reach ``targets`` their count stays, and
+    a level costs at least ``steady``, the least cost per level of a pass
+    there.  Returns the first depth of the passes of least total cost up to
+    that point, each level they settle priced down by ``steady``; with as
+    many brackets as targets this is the depth of least cost per level.
+    Past 2**d > _NUMPY_ROW_STEPS deeper passes only cost more.
     """
     scalar_step = (_NUMPY_ROW_STEPS + _SCALAR_MAX_SHIFTS) / _SCALAR_MAX_SHIFTS
+    depths = range(1, _NUMPY_ROW_STEPS.bit_length() + 2)
+    targets = max(targets, brackets)
 
-    def cost_per_level(d: int) -> float:
-        shifts = brackets * (2**d - 1)
-        if shifts < _SCALAR_MAX_SHIFTS:
-            return shifts * scalar_step / d
-        return (_NUMPY_ROW_STEPS + shifts) / d
+    def costs(b: int) -> list[float]:
+        # one pass from b brackets, per depth
+        shifts = [b * (2**d - 1) for d in depths]
+        return [s * scalar_step if s < _SCALAR_MAX_SHIFTS else _NUMPY_ROW_STEPS + s for s in shifts]
 
-    return min(range(1, _NUMPY_ROW_STEPS.bit_length() + 2), key=cost_per_level)
+    top = costs(targets)
+    steady = min(c / d for d, c in zip(depths, top))
+    grow = 0  # levels until the brackets may reach the targets
+    while brackets << grow < targets:
+        grow += 1
+    # least cost from k levels down until the targets are reached, net of steady
+    ahead = [0.0] * (grow + 1)
+    for k in reversed(range(grow + 1)):
+        net = [c - d * steady + ahead[min(k + d, grow)]
+               for d, c in zip(depths, top if k == grow else costs(brackets << k))]
+        if k < grow:
+            ahead[k] = min(net)
+    return depths[net.index(min(net))]
 
 
 def _speculative_counts(ms, los, his, sec, live):
@@ -442,7 +543,9 @@ def _speculative_counts(ms, los, his, sec, live):
     pad = starts[:, None] + np.minimum(np.arange(widths.max()), widths[:, None] - 1)
     lows, highs = lo[new][pad], hi[new][pad]
     mids = [0.5 * (lows + highs)]
-    for _ in range(1, _speculative_depth(lows.size)):
+    # no row of brackets outgrows its section's target count
+    targets = len(pad) * int(np.bincount(row).max())
+    for _ in range(1, _speculative_depth(lows.size, targets)):
         # interleave the children so that node j's lie at 2*j and 2*j + 1
         lows = np.stack((lows, mids[-1]), axis=2).reshape(len(pad), -1)
         highs = np.stack((mids[-1], highs), axis=2).reshape(len(pad), -1)

@@ -6,6 +6,7 @@ shares no code with the library's Sturm/bisection path; shifts that land
 exactly on an eigenvalue are judged by 50-digit mpmath eigenvalues.
 """
 
+import functools
 import warnings
 from fractions import Fraction
 
@@ -388,29 +389,33 @@ class TestSpeculativeBisection:
         monkeypatch.setattr(tridiag, "_sturm_counts", counting)
         params = jacobi_params(TwoPhoton(g=0.3, delta=1.0), SectorLabel(1, 0))
         assert len(spectrum_scan(params, 1000)) == 1000
-        assert len(calls) <= 20
+        assert len(calls) <= 16
 
 
-def _reference_counts(m, lams, sizes=None):
-    """The per-row numpy loop that the blocked pass replays.
+def _reference_pivots(m, lams):
+    """Pivots of the per-row numpy loop that the blocked pass replays, one row per section row.
 
-    One numpy step per row over all shifts; ``_sturm_counts`` must return
-    these counts on its numpy path.
+    One numpy step per row over all shifts, zero pivots nudged as the
+    kernel does.
     """
     diag, off_sq = m.diag, np.concatenate(([0.0], m.offdiag**2))
     lams = np.asarray(lams, dtype=float)
+    pivots = np.empty((m.n_max, lams.size))
+    d = np.full(lams.shape, np.inf)
+    for i in range(m.n_max):
+        d = (diag[i] - lams) - off_sq[i] / d
+        zero = d == 0.0
+        if zero.any():
+            d = np.where(zero, tridiag._nudge(diag[i], lams), d)
+        pivots[i] = d
+    return pivots
+
+
+def _reference_counts(m, lams, sizes=None):
+    """Counts of the per-row numpy loop; ``_sturm_counts`` must return these on its numpy path."""
+    below = np.cumsum(_reference_pivots(m, lams) < 0, axis=0, dtype=np.int64)
     stops = [m.n_max] if sizes is None else list(sizes)
-    counts = np.empty((len(stops), lams.size), dtype=np.int64)
-    d, count, start = np.full(lams.shape, np.inf), np.zeros(lams.shape, np.int64), 0
-    for j, stop in enumerate(stops):
-        for i in range(start, stop):
-            d = (diag[i] - lams) - off_sq[i] / d
-            zero = d == 0.0
-            if zero.any():
-                d = np.where(zero, tridiag._nudge(diag[i], lams), d)
-            count += d < 0
-        counts[j] = count
-        start = stop
+    counts = below[np.array(stops) - 1]
     return counts[0] if sizes is None else counts
 
 
@@ -525,28 +530,220 @@ class TestStackedPass:
             _sturm_counts(ms, lams)
 
 
+def _growing_section(rng, n, slope=3.0, integer=False):
+    """Section whose diagonal grows by ``slope`` per row, so low shifts certify a tail early."""
+    if integer:
+        return SymTridiag(diag=slope * np.arange(n) + rng.integers(-2, 3, n),
+                          offdiag=rng.integers(1, 3, n - 1))
+    return SymTridiag(diag=slope * np.arange(n) + rng.uniform(-1.0, 1.0, n),
+                      offdiag=rng.uniform(0.5, 1.5, n - 1))
+
+
+def _low_shifts(rng, m, k=4, extra=()):
+    """The lowest k eigenvalues (dense oracle), their float neighbours, and uniform shifts below them."""
+    ev = dense_eigenvalues(m)[:k]
+    return np.concatenate([ev, np.nextafter(ev, -np.inf), np.nextafter(ev, np.inf),
+                           rng.uniform(m.gershgorin()[0] - 1.0, ev[-1], 12), extra])
+
+
+class _Walks:
+    """Records each tail check of a pass: its inputs, the rows it read and its result."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        check = tridiag._pivot_floor
+
+        def spy(rows, d, lam):
+            rows, read = list(rows), []
+
+            def feed():
+                for row in rows:
+                    read.append(row)
+                    yield row
+
+            walked, bound = check(feed(), d, lam)
+            self.calls.append({"rows": rows, "d": d, "lam": lam, "read": len(read),
+                               "walked": walked, "certified": 0.0 < bound < np.inf})
+            return walked, bound
+
+        monkeypatch.setattr(tridiag, "_pivot_floor", spy)
+
+    def certified(self):
+        return [c for c in self.calls if c["certified"]]
+
+
+class TestCertifiedTail:
+    """A numpy pass stops once every section's remaining pivots are provably positive.
+
+    ``_BLOCK_ELEMS`` is set to 1-4 rows' worth of shifts, so the tail check
+    runs at many rows, and the counts must still equal the per-row loop's.
+    """
+
+    @staticmethod
+    def patch_blocks(monkeypatch, rows, lams):
+        monkeypatch.setattr(tridiag, "_BLOCK_ELEMS", rows * np.size(lams))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_counts_equal_the_full_pass(self, monkeypatch, rows, integer):
+        rng = np.random.default_rng(30 + rows)
+        walks = _Walks(monkeypatch)
+        for n in (6, 25, 60):
+            m = _growing_section(rng, n, integer=integer)
+            # integers hit zero pivots and exact eigenvalues of integer sections
+            lams = _low_shifts(rng, m, extra=np.arange(-2.0, 6.0))
+            self.patch_blocks(monkeypatch, rows, lams)
+            assert _sturm_counts(m, lams).tolist() == _reference_counts(m, lams).tolist()
+        assert walks.certified()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_zero_pivots_before_the_cut(self, monkeypatch, rows):
+        # _PIVOTS at shift 0, then pivots of exactly 2 there; shifts up to 0
+        m = _zero_pivot_section(_PIVOTS + [2] * 25)
+        rng = np.random.default_rng(40 + rows)
+        lams = [0.0, *rng.uniform(m.gershgorin()[0], 0.0, 30)]
+        self.patch_blocks(monkeypatch, rows, lams)
+        walks = _Walks(monkeypatch)
+        got = _sturm_counts(m, lams)
+        assert got.tolist() == _reference_counts(m, lams).tolist()
+        assert got[0] == sum(p < 0 for p in _PIVOTS)
+        # every zero pivot lies in rows the pass stepped
+        assert min(m.n_max - len(c["rows"]) for c in walks.certified()) >= len(_PIVOTS)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_sizes_around_the_cut(self, monkeypatch, rows):
+        rng = np.random.default_rng(50 + rows)
+        m = _growing_section(rng, 40)
+        lams = _low_shifts(rng, m)
+        self.patch_blocks(monkeypatch, rows, lams)
+        walks = _Walks(monkeypatch)
+        _sturm_counts(m, lams)
+        cut = m.n_max - len(walks.certified()[0]["rows"])
+        # every row a stop, then stops before, on and after the cut row
+        for sizes in (range(1, m.n_max + 1), [1, cut - 1, cut, cut + 1, m.n_max - 1, m.n_max]):
+            sizes = sorted(set(sizes) & set(range(1, m.n_max + 1)))
+            assert _sturm_counts(m, lams, sizes).tolist() == _reference_counts(m, lams, sizes).tolist()
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_stacked_sections_certify_at_different_rows(self, monkeypatch, rows):
+        rng = np.random.default_rng(60 + rows)
+        ms = [_growing_section(rng, 50, slope) for slope in (0.5, 3.0, 12.0)]
+        # each section's largest shift, its own eigenvalue's neighbour, tells
+        # its checks apart
+        lams = np.stack([_low_shifts(rng, m)[:24] for m in ms])
+        self.patch_blocks(monkeypatch, rows, lams)
+        walks = _Walks(monkeypatch)
+        got = _sturm_counts(ms, lams)
+        alone = [_reference_counts(m, row) for m, row in zip(ms, lams)]
+        assert got.tolist() == np.stack(alone).tolist()
+        starts = {c["lam"]: 50 - len(c["rows"]) for c in walks.certified()}
+        assert len(starts) == 3 and len(set(starts.values())) > 1
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_bound_holds_row_by_row(self, monkeypatch, rows):
+        # at a certified row every column's pivots stay at or above the check's
+        rng = np.random.default_rng(70 + rows)
+        walks = _Walks(monkeypatch)
+        for m in (_growing_section(rng, 40), _growing_section(rng, 40, 1.0),
+                  _zero_pivot_section(_PIVOTS + [2] * 25)):
+            lams = _low_shifts(rng, m, extra=[0.0])
+            self.patch_blocks(monkeypatch, rows, lams)
+            walks.calls.clear()
+            _sturm_counts(m, lams)
+            pivots = _reference_pivots(m, lams)
+            assert walks.certified()
+            for call in walks.certified():
+                start = m.n_max - len(call["rows"])
+                assert pivots[start - 1].min() >= call["d"]
+                assert np.max(lams) <= call["lam"]
+                for i in range(1, len(call["rows"]) + 1):
+                    _, bound = tridiag._pivot_floor(call["rows"][:i], call["d"], call["lam"])
+                    assert pivots[start + i - 1].min() >= bound > 0.0
+
+    @pytest.mark.parametrize("d", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_refuses_bad_carried_pivots(self, d):
+        walked, bound = tridiag._pivot_floor(iter([(5.0, 1.0)] * 3), d, 0.0)
+        assert walked == 0 and not 0.0 < bound < np.inf
+
+    def test_refuses_a_zero_bound(self):
+        # (2 - 1) - 1 / 1 is exactly 0 on the second row
+        walked, bound = tridiag._pivot_floor(iter([(3.0, 1.0), (2.0, 1.0), (9.0, 1.0)]), 1.0, 1.0)
+        assert (walked, bound) == (2, 0.0)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_refuses_a_plunging_tail(self, monkeypatch, rows):
+        # the diagonal plunges in the last rows: a pass there gains negative pivots
+        rng = np.random.default_rng(80 + rows)
+        m = _growing_section(rng, 40)
+        lams = _low_shifts(rng, m)
+        m = SymTridiag(diag=np.concatenate([m.diag[:-2], [-1e3, -1e3]]), offdiag=m.offdiag)
+        self.patch_blocks(monkeypatch, rows, lams)
+        walks = _Walks(monkeypatch)
+        got = _sturm_counts(m, lams)
+        assert got.tolist() == _reference_counts(m, lams).tolist()
+        assert walks.calls and not walks.certified()
+        # a check that reaches the plunge fails on its first row
+        assert 38 in [m.n_max - len(c["rows"]) + c["walked"] - 1 for c in walks.calls]
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_check_reads_each_row_about_once(self, monkeypatch, rows):
+        # a failed check waits for the pass to step past the row it failed on
+        rng = np.random.default_rng(90 + rows)
+        grown = _growing_section(rng, 60)
+        plunge = SymTridiag(diag=np.concatenate([grown.diag[:-3], [-1e3] * 3]), offdiag=grown.offdiag)
+        for ms in ([plunge], [_growing_section(rng, 60, 0.5), plunge, _growing_section(rng, 60)]):
+            lams = np.stack([_low_shifts(rng, grown) for _ in ms])
+            lams[:, 0] = lams.max() + np.arange(len(ms))  # distinct largest shifts
+            self.patch_blocks(monkeypatch, rows, lams)
+            walks = _Walks(monkeypatch)
+            _sturm_counts(ms, lams)
+            for lam in set(c["lam"] for c in walks.calls):
+                mine = [c for c in walks.calls if c["lam"] == lam]
+                assert sum(c["read"] for c in mine) <= 60 + len(mine)
+            assert any(c["read"] > 5 for c in walks.calls)
+
+
 class TestSpeculativeDepth:
-    """The depth rule: least per-level cost of one pass, scalar levels where cheaper."""
+    """The depth rule: least total cost of the passes until every target has a bracket."""
 
     def test_documented_depths(self):
         depth = tridiag._speculative_depth
-        # a lone bracket or two run one scalar level, a handful speculate deep,
-        # 15-30 brackets 4-5 levels and 1000 brackets two
-        assert [depth(b) for b in (1, 2)] == [1, 1]
-        assert depth(4) >= 6
-        assert all(depth(b) in (4, 5) for b in range(15, 31))
-        assert depth(1000) == 2
+        # with a bracket per target: a lone bracket or two run one scalar
+        # level, a handful speculate deep, 15-30 brackets 4-5 levels and 1000
+        # brackets two
+        assert [depth(b, b) for b in (1, 2)] == [1, 1]
+        assert depth(4, 4) >= 6
+        assert all(depth(b, b) in (4, 5) for b in range(15, 31))
+        assert depth(1000, 1000) == 2
+        # a full spectrum's one bracket reaches all 1000 targets in one pass
+        assert 2 ** depth(1, 1000) >= 1000
 
-    def test_depth_minimises_cost_per_level(self):
+    def test_depth_minimises_modelled_cost(self):
         c, x = tridiag._NUMPY_ROW_STEPS, _SCALAR_MAX_SHIFTS
+        depths = range(1, 40)
 
         def cost(b, d):
             shifts = b * (2**d - 1)
-            return (shifts * (c + x) / x if shifts < x else c + shifts) / d
+            return shifts * (c + x) / x if shifts < x else c + shifts
 
-        for b in (1, 3, 7, 20, 64, 300, 5000):
-            d = tridiag._speculative_depth(b)
-            assert all(cost(b, d) <= cost(b, e) for e in range(1, 40))
+        cases = [(1, 1), (3, 3), (7, 7), (20, 20), (64, 64), (300, 300), (5000, 5000),
+                 (1, 15), (2, 30), (3, 7), (20, 400), (1, 1000), (300, 5000)]
+        for brackets, targets in cases:
+            # past the targets the bracket count stays, and a level costs at
+            # least the least cost per level there
+            steady = min(cost(targets, d) / d for d in depths)
+
+            @functools.cache
+            def least(b):
+                # least cost of any sequence of passes until the brackets
+                # reach the targets, each level priced down by steady
+                if b >= targets:
+                    return 0.0
+                return min(cost(b, d) - d * steady + least(min(targets, b << d)) for d in depths)
+
+            d = tridiag._speculative_depth(brackets, targets)
+            chosen = cost(brackets, d) - d * steady + least(min(targets, brackets << d))
+            assert chosen <= least(brackets) + 1e-9 * steady
 
 
 class TestExactHits:
