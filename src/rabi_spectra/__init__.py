@@ -33,6 +33,7 @@ from .models import (
     AnisotropicTwoPhoton,
     DecompositionCheck,
     DegenerateParameterError,
+    IndicatorMismatchError,
     IntensityDependent,
     JacobiParams,
     ModelSpec,

@@ -5,7 +5,8 @@ float formatting, no timestamps.  Run metadata is confined to a single
 comment header line (CSV) or a "meta" object (JSON).
 
 Exit codes: 0 success, 1 usage or parameter-validation errors, 2 regime
-errors (degenerate parameters, unsupported classification regimes).
+errors (degenerate parameters, unsupported classification regimes, and
+parameters where float64 cannot confirm the closed-form edge).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .modulation import (
 from .models import (
     MODEL_TYPES,
     DegenerateParameterError,
+    IndicatorMismatchError,
     ModelSpec,
     SectorLabel,
     decomposition_check,
@@ -49,6 +51,7 @@ _REGIME_ERRORS = (
     DegenerateParameterError,
     DegenerateIndicatorError,
     PhaseStateError,
+    IndicatorMismatchError,
 )
 
 # larger inputs are rejected before any list is built

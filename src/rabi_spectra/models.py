@@ -51,6 +51,15 @@ class DegenerateParameterError(ValueError):
     """Parameters produce a degenerate Jacobi matrix (zero off-diagonal)."""
 
 
+class IndicatorMismatchError(RuntimeError):
+    """The indicator's half-line disagrees with the closed form beyond its tolerance.
+
+    Both derive from the same modulation data, so float64 cannot confirm the
+    closed form at these parameters: the indicator sums terms that cancel,
+    as for the anisotropic model at |g'| = 1/2 from a mean coupling of 1e4 up.
+    """
+
+
 def _positive(name: str, value: float) -> float:
     value = float(value)
     if not (np.isfinite(value) and value > 0.0):
@@ -505,7 +514,8 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     |r_i| (at least 1) raises, since both derive from the same modulation
     data.  The indicator sums terms of the size of r, which grows with delta
     and kappa, so its rounding error does too even where the endpoint stays
-    small (anisotropic: endpoint -1/2, error about 1e-17 delta).
+    small (anisotropic: endpoint -1/2, error about 1e-17 delta).  The
+    error raised is ``IndicatorMismatchError``, a RuntimeError.
     """
     params = jacobi_params(model, sector)
     clause, kind, closed, trace = model.regime()
@@ -518,7 +528,7 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     halfline = essential_halfline(indicator)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(r))))
     if halfline.direction != closed.direction or abs(halfline.endpoint - closed.endpoint) > tol:
-        raise RuntimeError(
+        raise IndicatorMismatchError(
             f"indicator half-line {halfline} disagrees with the closed form {closed} "
             f"for {model.name} sector {sector}"
         )

@@ -23,6 +23,7 @@ from .tridiag import (
     SymTridiag,
     TruncatedSpectrum,
     _bisect_sections,
+    _Stack,
     _sturm_counts,
     default_bisect_tol,
     eigenvalues_bisect,
@@ -80,13 +81,15 @@ def _lowest_sections(sections: Sequence[SymTridiag], k: int, tols) -> list[np.nd
     glo, ghi = np.array([m.gershgorin() for m in sections]).T
     pad = 1e-9 * np.maximum(1.0, np.maximum(np.abs(glo), np.abs(ghi)))
     lo, hi, top = glo - pad, np.minimum(glo + 1.0, ghi) + pad, ghi + pad
-    first, end = _sturm_counts(sections, np.stack((lo, hi), axis=1)).T
+    # every pass of the solve reuses what the stack derives from the sections
+    stack = _Stack(sections)
+    first, end = _sturm_counts(stack, np.stack((lo, hi), axis=1)).T
     grow = np.flatnonzero((end < k) & (hi < top))
     while grow.size:
         hi[grow] = np.minimum(lo[grow] + 2.0 * (hi[grow] - lo[grow]), top[grow])
-        end[grow] = _sturm_counts([sections[g] for g in grow], hi[grow, None])[:, 0]
+        end[grow] = _sturm_counts(stack.subset(grow.tolist()), hi[grow, None])[:, 0]
         grow = grow[(end[grow] < k) & (hi[grow] < top[grow])]
-    return _bisect_sections(sections, lo, hi, first, np.minimum(end, first + k), tols)
+    return _bisect_sections(stack, lo, hi, first, np.minimum(end, first + k), tols)
 
 
 @dataclass(frozen=True)

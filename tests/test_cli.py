@@ -165,6 +165,16 @@ class TestExitCodesAndDeterminism:
         assert cp.returncode == 2
         assert "kappa = 0" in cp.stderr
 
+    def test_unconfirmed_closed_form_is_exit_two(self):
+        # float64 cannot confirm the anisotropic edge at a mean coupling of 1e6:
+        # one regime-error line, no traceback and no table
+        cp = run_cli("classify", "--model", "anisotropic", "--g-plus", "1000000.5",
+                     "--g-minus", "999999.5", "--delta", "1")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("rabi-spectra: regime error: indicator half-line")
+        assert len(cp.stderr.splitlines()) == 1
+
     def test_byte_identical_reruns(self):
         args = ("classify", "--model", "rabi-stark", "--kappa", "0.6",
                 "--delta", "1", "--on-circle", "--format", "json")

@@ -1,5 +1,7 @@
 """Tests for the finite-section experiments: scans, collapse and edge counts."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,58 @@ class TestLockstep:
         scan = collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 400, 20)
         assert len(scan.spectra) == 20
         assert len(calls) <= 40
+
+    def test_golden_run_walk_steps(self, monkeypatch, capsys):
+        # counts rows, not time: tail walks read 36,326 rows here before the
+        # passes of a solve reused the certificates of earlier ones (9,636 since)
+        steps = []
+        walk = tridiag._pivot_floor
+
+        def counting(rows, d, lam, *bounds):
+            walked, bound = walk(rows, d, lam, *bounds)
+            steps.append(walked)
+            return walked, bound
+
+        monkeypatch.setattr(tridiag, "_pivot_floor", counting)
+        argv = ["collapse", "--model", "two-photon", "--delta", "1",
+                "--grid", "0.30:0.49:0.01", "--cutoff", "400", "-k", "20"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert steps and sum(steps) <= 12_000
+
+    def test_derived_arrays_once_per_section(self, monkeypatch):
+        # however many passes the solve takes, each section's squared couplings
+        # and Gershgorin bounds are built once, and a stack's numpy rows once
+        built, passes, row_builds = [], [], []
+        for name in ("_off_sq", "_gershgorin"):
+            derive = vars(SymTridiag)[name].func
+
+            def counting(m, derive=derive, name=name):
+                built.append((name, id(m)))
+                return derive(m)
+
+            prop = functools.cached_property(counting)
+            prop.__set_name__(SymTridiag, name)
+            monkeypatch.setattr(SymTridiag, name, prop)
+        numpy_rows, sturm_counts = tridiag._Stack.numpy_rows, tridiag._sturm_counts
+
+        def rows_counting(stack):
+            row_builds.append(stack._rows is None)
+            return numpy_rows(stack)
+
+        def counting_passes(m, lams, sizes=None):
+            passes.append(np.size(lams))
+            return sturm_counts(m, lams, sizes)
+
+        monkeypatch.setattr(tridiag._Stack, "numpy_rows", rows_counting)
+        monkeypatch.setattr(tridiag, "_sturm_counts", counting_passes)
+        monkeypatch.setattr(spectra, "_sturm_counts", counting_passes)
+        grid = [0.30, 0.35, 0.40, 0.45]
+        collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 200, 12)
+        assert len(passes) > 2 * len(grid)
+        assert len(set(built)) == len(built) == 2 * len(grid)
+        # a numpy pass over a stack already built reuses its rows
+        assert row_builds.count(False) > row_builds.count(True) > 0
 
 
 class TestCollapseErrors:

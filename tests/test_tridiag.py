@@ -553,7 +553,7 @@ class _Walks:
         self.calls = []
         check = tridiag._pivot_floor
 
-        def spy(rows, d, lam):
+        def spy(rows, d, lam, *bounds):
             rows, read = list(rows), []
 
             def feed():
@@ -561,7 +561,7 @@ class _Walks:
                     read.append(row)
                     yield row
 
-            walked, bound = check(feed(), d, lam)
+            walked, bound = check(feed(), d, lam, *bounds)
             self.calls.append({"rows": rows, "d": d, "lam": lam, "read": len(read),
                                "walked": walked, "certified": 0.0 < bound < np.inf})
             return walked, bound
@@ -703,6 +703,92 @@ class TestCertifiedTail:
             assert any(c["read"] > 5 for c in walks.calls)
 
 
+class TestCertificateReuse:
+    """Passes of one solve reuse the tail certificates that earlier passes walked.
+
+    A certificate walked from row s0 at shift lam0 certifies a section again
+    at a row s >= s0 of a pass to the same stop whose largest shift is <=
+    lam0 and whose least carried pivot is >= the walk's bound at row s.
+    """
+
+    @staticmethod
+    def certificate():
+        """A walk from row 10 to 40 of a growing section, from pivot 1 at a shift below row 10's diagonal."""
+        m = _growing_section(np.random.default_rng(7), 40)
+        lam, bounds = m.diag[10] - 4.0, [1.0]
+        walked, bound = tridiag._pivot_floor(
+            zip(m.diag[10:].tolist(), m._off_sq[10:].tolist()), 1.0, lam, bounds)
+        assert walked == 30 and 0.0 < bound < np.inf
+        return tridiag._Certificate(10, 40, lam, bounds)
+
+    def test_covers_rows_at_or_above_the_walk(self):
+        cert = self.certificate()
+        lam, bounds = cert.lam, cert.bounds
+        assert cert.covers(10, 40, 1.0, lam)
+        for row in (11, 15, 25, 39, 40):
+            assert cert.covers(row, 40, bounds[row - 10], lam)
+            assert cert.covers(row, 40, 2.0 * bounds[row - 10], lam - 5.0)
+
+    def test_refusals(self):
+        cert = self.certificate()
+        lam, floor = cert.lam, cert.bounds[20]
+        # the bounds rise with the diagonal, so the walk's start bound is lower
+        assert cert.bounds[0] < np.nextafter(floor, -np.inf)
+        assert cert.covers(30, 40, floor, lam)
+        refused = [
+            (30, 40, floor, np.nextafter(lam, np.inf)),  # a larger largest shift
+            (30, 40, np.nextafter(floor, -np.inf), lam),  # a lower carried pivot
+            (9, 40, 1e300, lam),  # a row before the walk's start
+            (30, 39, floor, lam),  # another stop row
+            (30, 41, floor, lam),
+            (30, 40, np.nan, lam),
+            (30, 40, np.inf, lam),
+            (30, 40, floor, np.nan),
+            (30, 40, floor, np.inf),
+            (30, 40, floor, -np.inf),
+        ]
+        for case in refused:
+            assert not cert.covers(*case), case
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_counts_over_passes_of_one_solve(self, monkeypatch, rows, integer):
+        # passes over one stack and its subsets, with shifts that fall and rise
+        # as a bisection's do, count like the per-row loop
+        rng = np.random.default_rng(110 + rows)
+        ms = [_growing_section(rng, 50, slope, integer) for slope in (0.5, 3.0, 12.0)]
+        stack = tridiag._Stack(ms)
+        covered, walks = [], _Walks(monkeypatch)
+        covers = tridiag._Certificate.covers
+
+        def spy(cert, *args):
+            covered.append(covers(cert, *args))
+            return covered[-1]
+
+        monkeypatch.setattr(tridiag._Certificate, "covers", spy)
+        # integers hit zero pivots and exact eigenvalues of integer sections,
+        # and whole offsets keep them integers
+        base = [_low_shifts(rng, m, extra=np.arange(-2.0, 3.0)) for m in ms]
+        for p in range(12):
+            keep = [[0, 1, 2], [0, 2], [1, 2], [2]][p % 4]
+            lams = np.stack([base[g] + rng.choice([-1.0, -0.5, 0.0, 0.5]) for g in keep])
+            monkeypatch.setattr(tridiag, "_BLOCK_ELEMS", rows * lams.size)
+            got = _sturm_counts(stack.subset(keep), lams)
+            want = [_reference_counts(ms[g], row) for g, row in zip(keep, lams)]
+            assert got.tolist() == np.stack(want).tolist()
+        # some passes certified a section from a kept walk, some walked again
+        assert True in covered and False in covered
+        assert len(walks.certified()) < 12 * 2
+
+    def test_stack_subsets_share_certificates(self):
+        ms = [_growing_section(np.random.default_rng(120), 30, slope) for slope in (1.0, 2.0, 4.0)]
+        stack = tridiag._Stack(ms)
+        sub = stack.subset([0, 2])
+        assert list(sub) == [ms[0], ms[2]] and sub.index == [0, 2]
+        assert sub.certificates is stack.certificates
+        assert stack.subset([0, 2]) is sub and stack.subset([0, 1, 2]) is stack
+
+
 class TestSpeculativeDepth:
     """The depth rule: least total cost of the passes until every target has a bracket."""
 
@@ -744,6 +830,13 @@ class TestSpeculativeDepth:
             d = tridiag._speculative_depth(brackets, targets)
             chosen = cost(brackets, d) - d * steady + least(min(targets, brackets << d))
             assert chosen <= least(brackets) + 1e-9 * steady
+
+    def test_memo_is_bounded_and_follows_the_constants(self, monkeypatch):
+        assert tridiag._least_cost_depth.cache_info().maxsize is not None
+        assert tridiag._speculative_depth(1, 1) == 1
+        # every pass on numpy: a lone bracket then speculates deep
+        monkeypatch.setattr(tridiag, "_SCALAR_MAX_SHIFTS", 1)
+        assert tridiag._speculative_depth(1, 1) > 1
 
 
 class TestExactHits:
