@@ -54,9 +54,12 @@ _REGIME_ERRORS = (
     IndicatorMismatchError,
 )
 
-# larger inputs are rejected before any list is built
+# larger inputs are rejected before any list or matrix is built
 MAX_GRID_POINTS = 10_000
 MAX_PARAMS_ROWS = 1_000_000
+MAX_CUTOFF = 1_000_000
+# verify-decomp builds a dense (2 cutoff) x (2 cutoff) matrix
+MAX_DENSE_CUTOFF = 2_000
 
 _MODELS = {cls.name: cls for cls in MODEL_TYPES}
 # parameter names per model, in dataclass field order (also the meta order)
@@ -190,13 +193,23 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError(f"--grid {text!r} has more than {MAX_GRID_POINTS} points")
         return [start + step * i for i in range(int(count))]
     grid = [float(p) for p in text.split(",") if p]
+    if not grid:
+        raise ValueError(f"--grid {text!r} contains no points")
     if len(grid) > MAX_GRID_POINTS:
         raise ValueError(f"--grid has more than {MAX_GRID_POINTS} points")
     return grid
 
 
+def _check_cutoff(cutoff: int, limit: int = MAX_CUTOFF, option: str = "--cutoff") -> None:
+    if cutoff > limit:
+        raise ValueError(f"{option} {cutoff} is above the limit of {limit}")
+
+
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p)
+    cutoffs = tuple(int(p) for p in text.split(",") if p)
+    for c in cutoffs:
+        _check_cutoff(c, option="--cutoffs")
+    return cutoffs
 
 
 def _cell(value) -> str:
@@ -282,6 +295,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    _check_cutoff(args.cutoff)
     model = _build_model(args)
     window = (args.window[0], args.window[1]) if args.window else None
     header = ["model", "sector", "index", "eigenvalue"]
@@ -303,6 +317,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         if getattr(args, opt):
             raise ValueError(f"collapse takes the coupling from --grid; drop {_flag(opt)}")
     grid = _parse_grid(args.grid)
+    _check_cutoff(args.cutoff)
     base = _build_model(args, g=grid[0])
     sector = _one_sector(base, args.sector)
     scan = collapse_scan(base.with_coupling, grid, sector, args.cutoff, args.lowest)
@@ -354,6 +369,7 @@ def cmd_edge(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_decomp(args: argparse.Namespace) -> int:
+    _check_cutoff(args.cutoff, MAX_DENSE_CUTOFF)
     model = _build_model(args)
     check = decomposition_check(model, args.cutoff)
     header = ["cutoff", "max_deviation", "max_block", "max_boundary", "max_cross"]

@@ -71,9 +71,9 @@ def _lowest_sections(sections: Sequence[SymTridiag], k: int, tols) -> list[np.nd
 
     Each section's window grows upward from its Gershgorin lower bound,
     doubling until its Sturm count reaches k; one Sturm pass per doubling
-    counts every section still growing.  The bisection then runs all
-    sections at once (``_bisect_sections``).  Each result is bit for bit
-    the one a solve of that section alone gives.
+    counts the whole stack, and only the sections still growing read it.
+    The bisection then runs all sections at once (``_bisect_sections``).
+    Each result is bit for bit the one a solve of that section alone gives.
     """
     tols = np.asarray(tols, dtype=float)
     if not np.all(tols > 0.0):
@@ -87,7 +87,7 @@ def _lowest_sections(sections: Sequence[SymTridiag], k: int, tols) -> list[np.nd
     grow = np.flatnonzero((end < k) & (hi < top))
     while grow.size:
         hi[grow] = np.minimum(lo[grow] + 2.0 * (hi[grow] - lo[grow]), top[grow])
-        end[grow] = _sturm_counts(stack.subset(grow.tolist()), hi[grow, None])[:, 0]
+        end[grow] = _sturm_counts(stack, hi[:, None])[grow, 0]
         grow = grow[(end[grow] < k) & (hi[grow] < top[grow])]
     return _bisect_sections(stack, lo, hi, first, np.minimum(end, first + k), tols)
 
@@ -213,8 +213,8 @@ def edge_density(
     if report_from.kind is not PhaseKind.CRITICAL_HALF_LINE or report_from.essential_spectrum is None:
         raise PhaseStateError("edge density requires a critical half-line phase report")
     W = float(W)
-    if W < 0.0:
-        raise ValueError("window width W must be non-negative")
+    if not 0.0 <= W < np.inf:
+        raise ValueError(f"window width W must be finite and non-negative, got {W!r}")
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) < 1 or any(c < 2 for c in cutoffs):
         raise ValueError("cutoffs must contain integers >= 2")

@@ -223,8 +223,8 @@ class TestOptionValues:
         assert out == ""
         assert option in err
 
-    # -k 1 and sector 2+ fail right after the size check, so an unbounded
-    # parser exits fast here too instead of scanning the grid
+    # -k 1, sector 2+, a NaN width and a negative g fail right after the size
+    # check, so an input at the limit exits fast too instead of building it
     @pytest.mark.parametrize("argv, message", [
         (["collapse", "--model", "two-photon", "--grid", "1:10001:1", "-k", "1"], "--grid"),
         (["collapse", "--model", "two-photon", "--grid", "1:10000:1", "-k", "1"], "k must be"),
@@ -235,6 +235,27 @@ class TestOptionValues:
           "--n", "0..1000000"], "--n"),
         (["params", "--model", "two-photon", "--g", "0.3", "--sector", "2+",
           "--n", "0..999999"], "sector"),
+        (["collapse", "--model", "two-photon", "--grid", ","], "--grid"),
+        (["collapse", "--model", "two-photon", "--grid", ""], "--grid"),
+        (["spectrum", "--model", "two-photon", "--g", "0.3", "--cutoff", "1000001"], "--cutoff"),
+        (["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "2+",
+          "--cutoff", "1000000"], "sector"),
+        (["collapse", "--model", "two-photon", "--grid", "0.3", "--cutoff", "1000001"],
+         "--cutoff"),
+        (["collapse", "--model", "two-photon", "--grid", "0.3", "--cutoff", "1000000",
+          "-k", "1"], "k must be"),
+        (["edge", "--model", "two-photon", "--g", "critical", "--cutoffs", "2000000000"],
+         "--cutoffs"),
+        (["edge", "--model", "two-photon", "--g", "critical", "--cutoffs", "100,1000001"],
+         "--cutoffs"),
+        (["edge", "--model", "two-photon", "--g", "critical", "--cutoffs", "1000000",
+          "--window-width", "nan"], "window width"),
+        (["verify-decomp", "--model", "two-photon", "--g", "0.7", "--cutoff", "100000"],
+         "--cutoff"),
+        (["verify-decomp", "--model", "two-photon", "--g", "0.7", "--cutoff", "2001"],
+         "--cutoff"),
+        (["verify-decomp", "--model", "two-photon", "--g", "-0.7", "--cutoff", "2000"],
+         "g must be"),
     ])
     def test_input_size_limits(self, argv, message):
         code, out, err = run_main(argv)

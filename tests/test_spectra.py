@@ -153,6 +153,14 @@ class TestEdgeDensity:
         assert density.essential_counts == (0, 0)
         assert density.complementary_counts == (0, 0)
 
+    @pytest.mark.parametrize("W", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_width(self, W):
+        model = TwoPhoton(g=0.5, delta=1.0)
+        sector = SectorLabel(1, 0)
+        report = predicted_phase(model, sector)
+        with pytest.raises(ValueError, match="window width"):
+            edge_density(jacobi_params(model, sector), report, (50, 100), W)
+
     def test_rejects_non_critical_report(self):
         model = TwoPhoton(g=0.3, delta=1.0)
         sector = SectorLabel(1, 0)
@@ -272,21 +280,29 @@ class TestLockstep:
         ms = self.grid_sections(rng, "intensity", 100)
         self.check(ms, 8, [1e-300] * len(ms))
 
-    def test_sections_with_different_target_counts(self):
+    # window 0 lies below every Gershgorin interval, so its section has no
+    # targets: first, in the middle, last, and in every section but one.  A
+    # pass over the whole stack gives such a section a row nobody reads
+    @pytest.mark.parametrize("order", [
+        [0, 1, 2, 3, 4, 5], [1, 2, 0, 3, 4, 5], [1, 2, 3, 4, 5, 0], [0, 0, 2, 0, 0, 0],
+    ], ids=["empty-first", "empty-middle", "empty-last", "one-with-targets"])
+    def test_sections_with_different_target_counts(self, order):
         # windows holding 0, a few and many eigenvalues, k above some counts,
         # and tolerances from loose to stuck
         rng = np.random.default_rng(12)
         ms = [random_sym_tridiag(rng, 40) for _ in range(6)]
         windows = [(-9.0, -8.0), (-1.0, 0.0), (-5.0, 5.0), (0.0, 2.5), (-2.0, 9.0), (1.0, 1.5)]
         tols = [1e-3, 1e-12, 1e-300, 1e-9, 1e-12, 1e-6]
+        ms, windows, tols = ([x[i] for i in order] for x in (ms, windows, tols))
         k = 7
         lo, hi = np.array(windows).T
         first, end = np.array([tridiag._sturm_counts(m, w) for m, w in zip(ms, windows)]).T
         got = _bisect_sections(ms, lo, hi, first, np.minimum(end, first + k), tols)
         want = [eigenvalues_bisect(m, window=w, tol=t, k=k).eigenvalues
                 for m, w, t in zip(ms, windows, tols)]
-        counts = {len(w) for w in want}
-        assert {0, k} <= counts and len(counts) >= 4
+        counts = [len(w) for w in want]
+        assert [c == 0 for c in counts] == [i == 0 for i in order]
+        assert k in counts and len(set(counts)) >= (2 if order.count(0) > 1 else 4)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_bracket_shared_across_sections(self):
@@ -318,7 +334,7 @@ class TestLockstep:
         sturm_counts = tridiag._sturm_counts
 
         def counting(m, lams, sizes=None):
-            calls.append(np.size(lams))
+            calls.append(m)
             return sturm_counts(m, lams, sizes)
 
         monkeypatch.setattr(tridiag, "_sturm_counts", counting)
@@ -327,6 +343,8 @@ class TestLockstep:
         scan = collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 400, 20)
         assert len(scan.spectra) == 20
         assert len(calls) <= 40
+        # every pass of the solve gets its one stack of all 20 sections
+        assert all(m is calls[0] for m in calls) and len(calls[0]) == 20
 
     def test_golden_run_walk_steps(self, monkeypatch, capsys):
         # counts rows, not time: tail walks read 36,326 rows here before the
@@ -348,37 +366,33 @@ class TestLockstep:
 
     def test_derived_arrays_once_per_section(self, monkeypatch):
         # however many passes the solve takes, each section's squared couplings
-        # and Gershgorin bounds are built once, and a stack's numpy rows once
-        built, passes, row_builds = [], [], []
-        for name in ("_off_sq", "_gershgorin"):
-            derive = vars(SymTridiag)[name].func
+        # and Gershgorin bounds are built once, and the stack's numpy rows once
+        built, passes = [], []
+        for owner, name in ((SymTridiag, "_off_sq"), (SymTridiag, "_gershgorin"),
+                            (tridiag._Stack, "numpy_rows")):
+            derive = vars(owner)[name].func
 
             def counting(m, derive=derive, name=name):
                 built.append((name, id(m)))
                 return derive(m)
 
             prop = functools.cached_property(counting)
-            prop.__set_name__(SymTridiag, name)
-            monkeypatch.setattr(SymTridiag, name, prop)
-        numpy_rows, sturm_counts = tridiag._Stack.numpy_rows, tridiag._sturm_counts
-
-        def rows_counting(stack):
-            row_builds.append(stack._rows is None)
-            return numpy_rows(stack)
+            prop.__set_name__(owner, name)
+            monkeypatch.setattr(owner, name, prop)
+        sturm_counts = tridiag._sturm_counts
 
         def counting_passes(m, lams, sizes=None):
             passes.append(np.size(lams))
             return sturm_counts(m, lams, sizes)
 
-        monkeypatch.setattr(tridiag._Stack, "numpy_rows", rows_counting)
         monkeypatch.setattr(tridiag, "_sturm_counts", counting_passes)
         monkeypatch.setattr(spectra, "_sturm_counts", counting_passes)
         grid = [0.30, 0.35, 0.40, 0.45]
         collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 200, 12)
         assert len(passes) > 2 * len(grid)
-        assert len(set(built)) == len(built) == 2 * len(grid)
-        # a numpy pass over a stack already built reuses its rows
-        assert row_builds.count(False) > row_builds.count(True) > 0
+        assert len(set(built)) == len(built) == 2 * len(grid) + 1
+        # the one stack's numpy passes after the first reuse its rows
+        assert sum(p >= tridiag._SCALAR_MAX_SHIFTS for p in passes) > 1
 
 
 class TestCollapseErrors:
