@@ -318,13 +318,19 @@ def cmd_collapse(args: argparse.Namespace) -> int:
             raise ValueError(f"collapse takes the coupling from --grid; drop {_flag(opt)}")
     grid = _parse_grid(args.grid)
     _check_cutoff(args.cutoff)
+    # the scan holds one section per grid point
+    if len(grid) * args.cutoff > MAX_CUTOFF:
+        raise ValueError(
+            f"--grid points x --cutoff = {len(grid)} x {args.cutoff} section rows "
+            f"is above the limit of {MAX_CUTOFF}"
+        )
     base = _build_model(args, g=grid[0])
     sector = _one_sector(base, args.sector)
     scan = collapse_scan(base.with_coupling, grid, sector, args.cutoff, args.lowest)
     for g, flag in zip(scan.couplings, scan.nondiscrete):
         if flag:
             print(
-                f"warning: coupling {g!r} is not in the purely discrete regime; "
+                f"warning: coupling {float(g)!r} is not in the purely discrete regime; "
                 "its gap statistics do not measure discrete-spectrum spacings",
                 file=sys.stderr,
             )

@@ -160,7 +160,7 @@ def collapse_scan(
             if eigs.size < 2:
                 raise ValueError(
                     f"fewer than two of the lowest {k} eigenvalues lie below the "
-                    f"spurious-edge cut at coupling {g!r}; lower k or raise the cutoff"
+                    f"spurious-edge cut at coupling {float(g)!r}; lower k or raise the cutoff"
                 )
             spectra.append(TruncatedSpectrum(eigs, cutoff, applied_tol))
             flags.append(predicted_phase(model, sector).kind is not PhaseKind.EMPTY_ESSENTIAL)

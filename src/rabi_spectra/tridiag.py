@@ -31,6 +31,7 @@ would pass, so every eigenvalue keeps its bits.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -85,8 +86,10 @@ class SymTridiag:
             raise ValueError("offdiag must have length len(diag) - 1")
         if not np.all(np.isfinite(self.diag)):
             raise ValueError("diag entries must be finite")
-        if not np.all(np.isfinite(self.offdiag) & (self.offdiag > 0.0)):
-            raise ValueError("offdiag entries must be finite and strictly positive")
+        # the Sturm recurrence squares them: the bound keeps every square finite
+        if not np.all((self.offdiag > 0.0) & (self.offdiag <= np.sqrt(np.finfo(float).max))):
+            raise ValueError("offdiag entries must be strictly positive and at most "
+                             "sqrt(float max) ~ 1.341e154, whose square is finite")
 
     @property
     def n_max(self) -> int:
@@ -241,9 +244,16 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
         diag, off = stack.numpy_rows
         shifts = lams[0] if len(stack) == 1 else lams
         # no block outgrows the section, so neither does the buffer
-        buf = np.empty((max(1, min(stops[-1], _BLOCK_ELEMS // lams.size)), *shifts.shape))
+        rows = max(1, min(stops[-1], _BLOCK_ELEMS // lams.size))
+        # the block, the carried pivots and the quotient row share one allocation
+        # that starts on a 64-byte boundary: where the block started moved the
+        # time of a pass by up to 7 % from one process to the next
+        raw = np.empty((rows + 2) * lams.size + 7)
+        work = raw[(-raw.ctypes.data % 64) // 8 :][: (rows + 2) * lams.size]
+        work = work.reshape(rows + 2, *shifts.shape)
+        buf, carry, t = work[:rows], work[rows], work[rows + 1]
+        carry.fill(np.inf)
         row_views = list(buf)  # once per pass, not once per block
-        carry, t = np.full(shifts.shape, np.inf), np.empty(shifts.shape)
         count, start, n = np.zeros(shifts.shape, np.int64), 0, stops[-1]
         # per section: its carried pivots, the flat index of its largest shift
         # (in lams and carry alike) and the row from which its tail may be checked
@@ -413,41 +423,31 @@ def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
 
 
 def _speculative_depth(brackets: int, targets: int) -> int:
-    """Bisection levels one Sturm pass should settle for ``brackets`` brackets.
+    """Bisection levels one Sturm pass should settle for ``brackets`` <= ``targets`` brackets.
 
     d levels take brackets * (2**d - 1) shifts and leave up to brackets * 2**d
     brackets, at most ``targets``.  Per row a numpy pass costs
     ``_NUMPY_ROW_STEPS`` plus one step per shift, a scalar pass a scalar step
-    (priced so the paths tie at ``_SCALAR_MAX_SHIFTS``) per shift.  Returns the first depth of
-    the passes of least total cost to ``targets``, net of the least cost per level from there.
+    (priced so the paths tie at ``_SCALAR_MAX_SHIFTS``) per shift.  With
+    ``steady`` the least cost per level of a pass from ``targets`` brackets,
+    the depth is 1 where that is a one-level scalar pass, else the deepest
+    d <= _NUMPY_ROW_STEPS.bit_length() + 1 whose last level (brackets *
+    2**(d - 1) shifts) costs strictly less than ``steady``: the first depth of
+    the passes of least total cost until every target has a bracket, net of
+    ``steady`` per level, unless targets exceed about 3,000 x brackets (the cap).
     """
-    return _least_cost_depth(brackets, max(targets, brackets), _NUMPY_ROW_STEPS, _SCALAR_MAX_SHIFTS)
+    scalar_step = (_NUMPY_ROW_STEPS + _SCALAR_MAX_SHIFTS) / _SCALAR_MAX_SHIFTS
+    top = _NUMPY_ROW_STEPS.bit_length() + 1
 
+    def cost(shifts: int) -> float:
+        return shifts * scalar_step if shifts < _SCALAR_MAX_SHIFTS else _NUMPY_ROW_STEPS + shifts
 
-@functools.lru_cache(maxsize=256)
-def _least_cost_depth(brackets: int, targets: int, row_steps: int, scalar_max: int) -> int:
-    """``_speculative_depth`` for targets >= brackets, at the given cost constants."""
-    scalar_step = (row_steps + scalar_max) / scalar_max
-    depths = range(1, row_steps.bit_length() + 2)
-
-    def costs(b: int) -> list[float]:
-        # one pass from b brackets, per depth
-        shifts = [b * (2**d - 1) for d in depths]
-        return [s * scalar_step if s < scalar_max else row_steps + s for s in shifts]
-
-    top = costs(targets)
-    steady = min(c / d for d, c in zip(depths, top))
-    grow = 0  # levels until the brackets may reach the targets
-    while brackets << grow < targets:
-        grow += 1
-    # least cost from k levels down until the targets are reached, net of steady
-    ahead = [0.0] * (grow + 1)
-    for k in reversed(range(grow + 1)):
-        net = [c - d * steady + ahead[min(k + d, grow)]
-               for d, c in zip(depths, top if k == grow else costs(brackets << k))]
-        if k < grow:
-            ahead[k] = min(net)
-    return depths[net.index(min(net))]
+    steady = min([cost(targets * (2**d - 1)) / d for d in range(1, top + 1)])
+    if targets < _SCALAR_MAX_SHIFTS and cost(targets) <= steady:
+        return 1
+    # brackets << (d - 1) <= ceil(steady) - 1, the greatest integer below steady;
+    # d = 1 passes, as steady > targets >= brackets
+    return min(top, ((math.ceil(steady) - 1) // brackets).bit_length())
 
 
 def _speculative_counts(ms, los, his, sec):

@@ -109,6 +109,15 @@ class TestSpectrum:
         assert values == sorted(values)
         assert all(-2 <= v < 10 for v in values)
 
+    def test_couplings_that_overflow_when_squared_exit_one(self):
+        # the largest coupling of a 6-row section is 1.05e154 at g 1e153 and
+        # 1.05e155 at g 1e154, above sqrt(float max) ~ 1.341e154
+        argv = ["spectrum", "--model", "two-photon", "--delta", "1", "--cutoff", "6"]
+        code, out, err = run_main(argv + ["--g", "1e153"])
+        assert code == 0 and len(parse_csv(out)) == 4 * 6
+        code, out, err = run_main(argv + ["--g", "1e154"])
+        assert (code, out) == (1, "") and "sqrt(float max)" in err
+
 
 class TestCollapse:
     def test_matches_golden_file(self):
@@ -120,9 +129,12 @@ class TestCollapse:
 
     def test_warns_outside_discrete_regime(self):
         cp = run_cli("collapse", "--model", "two-photon", "--delta", "1",
-                     "--grid", "0.4,0.8", "--cutoff", "80", "-k", "4")
+                     "--grid", "0.4,0.5,0.8", "--cutoff", "80", "-k", "4")
         assert cp.returncode == 0
         assert "not in the purely discrete regime" in cp.stderr
+        # grid values print as plain floats, not numpy reprs
+        assert "coupling 0.5 is not" in cp.stderr and "coupling 0.8 is not" in cp.stderr
+        assert "coupling 0.4" not in cp.stderr and "np.float64" not in cp.stderr
 
 
 class TestEdge:
@@ -227,7 +239,8 @@ class TestOptionValues:
     # check, so an input at the limit exits fast too instead of building it
     @pytest.mark.parametrize("argv, message", [
         (["collapse", "--model", "two-photon", "--grid", "1:10001:1", "-k", "1"], "--grid"),
-        (["collapse", "--model", "two-photon", "--grid", "1:10000:1", "-k", "1"], "k must be"),
+        (["collapse", "--model", "two-photon", "--grid", "1:10000:1", "--cutoff", "100",
+          "-k", "1"], "k must be"),
         (["collapse", "--model", "two-photon", "--grid", "0:1e308:1e-308", "-k", "1"], "--grid"),
         (["collapse", "--model", "two-photon", "-k", "1",
           "--grid", ",".join(["0.1"] * 10_001)], "--grid"),
@@ -256,6 +269,11 @@ class TestOptionValues:
          "--cutoff"),
         (["verify-decomp", "--model", "two-photon", "--g", "-0.7", "--cutoff", "2000"],
          "g must be"),
+        # the scan holds grid points x cutoff section rows, at most 10^6
+        (["collapse", "--model", "two-photon", "--grid", "1:10000:1", "-k", "1"],
+         "--grid points x --cutoff = 10000 x 400"),
+        (["collapse", "--model", "two-photon", "--grid", "0.1,0.2", "--cutoff", "500001",
+          "-k", "1"], "--grid points x --cutoff = 2 x 500001"),
     ])
     def test_input_size_limits(self, argv, message):
         code, out, err = run_main(argv)

@@ -54,6 +54,15 @@ class TestSymTridiag:
         with pytest.raises(ValueError):
             SymTridiag(diag=[np.nan], offdiag=[])
 
+    def test_rejects_couplings_whose_squares_overflow(self):
+        # the largest accepted coupling squares to a finite float, its successor to inf
+        limit = np.sqrt(np.finfo(float).max)
+        m = SymTridiag(diag=[0.0, 0.0], offdiag=[limit])
+        assert sturm_count(m, 0.0) == 1
+        for big in (np.nextafter(limit, np.inf), 1e200):
+            with pytest.raises(ValueError, match="sqrt"):
+                SymTridiag(diag=[0.0, 0.0, 0.0], offdiag=[big, big])
+
     def test_gershgorin_contains_spectrum(self, rng):
         m = random_sym_tridiag(rng, 9)
         lo, hi = m.gershgorin()
@@ -792,6 +801,8 @@ class TestSpeculativeDepth:
         assert depth(4, 4) >= 6
         assert all(depth(b, b) in (4, 5) for b in range(15, 31))
         assert depth(1000, 1000) == 2
+        # levels 2 and 3 cost the same per level here; the shallower one is taken
+        assert depth(240, 240) == 2
         # a full spectrum's one bracket reaches all 1000 targets in one pass
         assert 2 ** depth(1, 1000) >= 1000
 
@@ -803,8 +814,12 @@ class TestSpeculativeDepth:
             shifts = b * (2**d - 1)
             return shifts * (c + x) / x if shifts < x else c + shifts
 
-        cases = [(1, 1), (3, 3), (7, 7), (20, 20), (64, 64), (300, 300), (5000, 5000),
-                 (1, 15), (2, 30), (3, 7), (20, 400), (1, 1000), (300, 5000)]
+        # the passes the workloads start: collapse grids, golden run, full spectra
+        cases = [(2, 30), (30, 30), (20, 400), (400, 400), (1, 1000), (1000, 1000)]
+        cases += [(1, 1), (3, 3), (7, 7), (20, 20), (64, 64), (300, 300), (5000, 5000),
+                  (1, 15), (3, 7), (300, 5000)]
+        # every small bracket count, up to 40 targets more than brackets
+        cases += [(b, t) for b in range(1, 41) for t in range(b, b + 41)]
         for brackets, targets in cases:
             # past the targets the bracket count stays, and a level costs at
             # least the least cost per level there
@@ -822,8 +837,7 @@ class TestSpeculativeDepth:
             chosen = cost(brackets, d) - d * steady + least(min(targets, brackets << d))
             assert chosen <= least(brackets) + 1e-9 * steady
 
-    def test_memo_is_bounded_and_follows_the_constants(self, monkeypatch):
-        assert tridiag._least_cost_depth.cache_info().maxsize is not None
+    def test_depth_follows_the_constants(self, monkeypatch):
         assert tridiag._speculative_depth(1, 1) == 1
         # every pass on numpy: a lone bracket then speculates deep
         monkeypatch.setattr(tridiag, "_SCALAR_MAX_SHIFTS", 1)
