@@ -515,7 +515,9 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     data.  The indicator sums terms of the size of r, which grows with delta
     and kappa, so its rounding error does too even where the endpoint stays
     small (anisotropic: endpoint -1/2, error about 1e-17 delta).  The
-    error raised is ``IndicatorMismatchError``, a RuntimeError.
+    tolerance is capped at 1e-6 relative to the closed-form endpoint (at
+    least 1), so that a huge delta cannot pass any endpoint.  The error
+    raised is ``IndicatorMismatchError``, a RuntimeError.
     """
     params = jacobi_params(model, sector)
     clause, kind, closed, trace = model.regime()
@@ -526,7 +528,7 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     s, r = limit_sequences(params.modulation)
     indicator = edge_indicator(params.modulation, mono, s, r)
     halfline = essential_halfline(indicator)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(r))))
+    tol = min(1e-9 * max(1.0, float(np.max(np.abs(r)))), 1e-6 * max(1.0, abs(closed.endpoint)))
     if halfline.direction != closed.direction or abs(halfline.endpoint - closed.endpoint) > tol:
         raise IndicatorMismatchError(
             f"indicator half-line {halfline} disagrees with the closed form {closed} "

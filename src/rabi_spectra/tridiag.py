@@ -26,6 +26,15 @@ each pivot stays >= P[s - s0 + 1], ..., which the walk proved positive.
 Bisection passes count at the midpoints of the next levels below every
 distinct bracket, read by tree position: the floats one-level bisection
 would pass, so every eigenvalue keeps its bits.
+
+Counts are monotone in the shift, so for target i (0-based) there is a
+least float tau_i whose count reaches i + 1, and count(mid) >= i + 1
+exactly when mid >= tau_i.  A solve that ``_newton_pays`` for narrows, after
+its first pass, an interval (A, B] around each tau_i with every count it
+takes: Newton passes on det(T - lam) find tau_i and a count either side
+certifies it.  The bisection loop then replays its own floats: a midpoint
+<= A goes up, one >= B goes down, and only midpoints inside (A, B) are
+counted, so each eigenvalue keeps its bits again.
 """
 
 from __future__ import annotations
@@ -47,6 +56,15 @@ _NUMPY_ROW_STEPS = 1200
 
 # elements of one numpy block of rows x shifts (256 KB of float64)
 _BLOCK_ELEMS = 1 << 15
+
+# derivative passes of a located solve and their shifts per target (measured
+# on full 1000-row spectra; CHANGES.md), and the most passes it takes
+_NEWTON_PASSES = 9
+_NEWTON_SHIFTS = 4
+_NEWTON_MAX_PASSES = 12
+
+# cost of a derivative pass against a count pass with as many shifts
+_SLOPE_COST = 2.5
 
 
 def _readonly(values) -> np.ndarray:
@@ -193,7 +211,7 @@ class _Stack(tuple):
         return diag, list(off)
 
 
-def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
+def _sturm_counts(m, lams, sizes=None, slopes=False):
     """Eigenvalue counts of ``m`` strictly below each shift in ``lams``.
 
     Runs the LDL^T recurrence d_i = (diag_i - lam) - off_(i-1)^2 / d_(i-1) and
@@ -208,6 +226,12 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
     nudged and the rows after it are stepped again, and tails are checked
     once each uncertified section has a positive pivot at its largest shift
     and is past the row its last walk failed on.
+
+    With ``slopes`` the pass also returns d/dlam log|det(T - lam)| = sum of
+    d'_i / d_i of the section (of sizes[-1] rows) at each shift, shaped like
+    the counts of one stop.  It always runs as numpy, its derivative rows
+    sharing the block budget, and checks no tails; its pivots are the same
+    IEEE operations, so are its counts.
     """
     stacked = not isinstance(m, SymTridiag)
     stack = m if isinstance(m, _Stack) else _Stack(m if stacked else (m,))
@@ -225,7 +249,7 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
         raise ValueError(f"sizes must increase strictly within [1, {n_max}]")
 
     counts = np.empty((len(stops), *lams.shape), dtype=np.int64)
-    if lams.size < _SCALAR_MAX_SHIFTS:
+    if lams.size < _SCALAR_MAX_SHIFTS and not slopes:
         for g, (diag_v, off_v) in enumerate(stack.views):
             for k, lam in enumerate(lams[g].tolist()):
                 d, count, start = np.inf, 0, 0
@@ -243,17 +267,25 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
         # section keeps 1-d rows and divides by Python floats, cheaper per row
         diag, off = stack.numpy_rows
         shifts = lams[0] if len(stack) == 1 else lams
-        # no block outgrows the section, so neither does the buffer
-        rows = max(1, min(stops[-1], _BLOCK_ELEMS // lams.size))
-        # the block, the carried pivots and the quotient row share one allocation
+        # no block outgrows the section, so neither does the buffer; derivative
+        # rows share the block budget with the pivots
+        rows = max(1, min(stops[-1], _BLOCK_ELEMS // (lams.size * (2 if slopes else 1))))
+        height = 2 * rows + 4 if slopes else rows + 2
+        # the blocks, the carried rows and the quotient rows share one allocation
         # that starts on a 64-byte boundary: where the block started moved the
         # time of a pass by up to 7 % from one process to the next
-        raw = np.empty((rows + 2) * lams.size + 7)
-        work = raw[(-raw.ctypes.data % 64) // 8 :][: (rows + 2) * lams.size]
-        work = work.reshape(rows + 2, *shifts.shape)
+        raw = np.empty(height * lams.size + 7)
+        work = raw[(-raw.ctypes.data % 64) // 8 :][: height * lams.size]
+        work = work.reshape(height, *shifts.shape)
         buf, carry, t = work[:rows], work[rows], work[rows + 1]
         carry.fill(np.inf)
         row_views = list(buf)  # once per pass, not once per block
+        if slopes:
+            # ratios r_i = d'_i / d_i of the pivots' lam-derivatives, from
+            # d'_i = t_i r_(i-1) - 1 with t_i = q_i / d_(i-1) and r_(-1) = 0
+            rbuf, rcarry, w = work[rows + 2 : 2 * rows + 2], work[-2], work[-1]
+            rcarry.fill(0.0)
+            ratio_views, slope = list(rbuf), np.zeros(shifts.shape)
         count, start, n = np.zeros(shifts.shape, np.int64), 0, stops[-1]
         # per section: its carried pivots, the flat index of its largest shift
         # (in lams and carry alike) and the row from which its tail may be checked
@@ -270,23 +302,40 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
                     np.subtract(diag[start:end], shifts, out=block)
                     d = carry
                     # zip stops at the block's last row
-                    for row, q in zip(row_views, off[start:end]):
-                        np.divide(q, d, out=t)
-                        np.subtract(row, t, out=row)
-                        d = row
+                    if slopes:
+                        r = rcarry
+                        for row, ratio, q in zip(row_views, ratio_views, off[start:end]):
+                            np.divide(q, d, out=t)
+                            np.subtract(row, t, out=row)
+                            np.multiply(t, r, out=w)
+                            np.subtract(w, 1.0, out=w)
+                            np.divide(w, row, out=ratio)
+                            d, r = row, ratio
+                    else:
+                        for row, q in zip(row_views, off[start:end]):
+                            np.divide(q, d, out=t)
+                            np.subtract(row, t, out=row)
+                            d = row
                     zero = block == 0.0
                     if zero.any():
                         # nudge the first zero pivot row, drop the rows after it
                         z = int(np.argmax(zero.reshape(len(zero), -1).any(axis=1)))
                         block[z] = np.where(zero[z], _nudge(diag[start + z], shifts), block[z])
                         block = block[: z + 1]
+                        if slopes:  # the ratio of the nudged row, as the row loop forms it
+                            d, r = (buf[z - 1], rbuf[z - 1]) if z else (carry, rcarry)
+                            rbuf[z] = ((off[start + z] / d) * r - 1.0) / block[z]
                     # uint16 holds the sum: a block has at most _BLOCK_ELEMS < 2**16 rows
                     count += (block < 0).sum(axis=0, dtype=np.uint16)
                     np.copyto(carry, block[-1])
+                    if slopes:
+                        np.copyto(rcarry, rbuf[len(block) - 1])
+                        slope += rbuf[: len(block)].sum(axis=0)
                     start += len(block)
                     # check tails only where the pass could stop: every uncertified
-                    # section is due and has a positive pivot at its largest shift
-                    if start < n and all(
+                    # section is due and has a positive pivot at its largest shift;
+                    # a slope needs every row
+                    if start < n and not slopes and all(
                         retry[g] <= start and carry.item(tops[g]) > 0.0 for g in uncertified
                     ):
                         while uncertified:
@@ -311,7 +360,8 @@ def _sturm_counts(m, lams, sizes=None) -> np.ndarray:
                 counts[j] = count
     if not stacked:
         counts = counts[:, 0]
-    return counts[0] if sizes is None else counts
+    counts = counts[0] if sizes is None else counts
+    return (counts, slope.reshape(lams.shape if stacked else -1)) if slopes else counts
 
 
 def _pivot_floor(rows, d, lam, bounds=None):
@@ -392,7 +442,9 @@ def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
 
     Section g's brackets start at [lo[g], hi[g]) and halve to half-width tol[g].
     They stop moving once all are done or stuck, as a solve of it alone would,
-    so it keeps that solve's bytes; each pass counts the whole stack.
+    so it keeps that solve's bytes; each pass counts the whole stack.  Where
+    ``_newton_pays``, the solve locates every target's count transition after
+    the first pass (``_locate``) and replays the remaining levels from it.
     """
     ms = ms if isinstance(ms, _Stack) else _Stack(ms)
     sizes = np.maximum(np.asarray(stop) - np.asarray(first), 0)
@@ -400,7 +452,7 @@ def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
     offset = np.repeat(np.asarray(first) - (np.cumsum(sizes) - sizes), sizes)
     targets = np.arange(sec.size) + offset
     los, his, tols = (np.asarray(x, dtype=float)[sec] for x in (lo, hi, tol))
-    level_counts = []
+    level_counts, node, bounds, located = [], None, None, None
     while True:
         mids = 0.5 * (los + his)
         done = (his - los) <= 2.0 * tols
@@ -408,27 +460,187 @@ def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
         live = np.bincount(sec[~(done | stuck)], minlength=len(ms)) > 0
         if not live.any():
             break
-        if not level_counts:
-            level_counts, node = _speculative_counts(ms, los, his, sec)
-        below = level_counts.pop(0)[sec, node] >= targets + 1
         move = live[sec]
+        if located is None and node is not None and not level_counts:
+            # priced once, after the first pass
+            located = _newton_pays(ms, los[move], his[move], tols[move], sec[move])
+            if located:
+                bounds = _locate(ms, los, his, sec, targets, tols, move)
+        if bounds is not None:
+            low, high = bounds
+            unknown = move & (low < mids) & (mids < high)
+            if unknown.any():
+                # one pass settles every midpoint the remaining levels may leave undecided
+                at_sec, at = _replay_shifts(*(v[move] for v in (los, his, low, high, tols, sec)))
+                _count_at(ms, bounds, sec, targets, at_sec, at)
+                continue
+            # every midpoint now lies at or below A (up) or at or above B (down)
+            below = mids >= high
+        else:
+            if not level_counts:
+                shifts, widths, node = _speculative_shifts(ms, los, his, sec)
+                level_counts = np.split(_sturm_counts(ms, shifts), np.cumsum(widths)[:-1], axis=1)
+            below = level_counts.pop(0)[sec, node] >= targets + 1
+            # the bracket just taken is child 2*node (down) or 2*node + 1 (up)
+            node = 2 * node + ~below
         his = np.where(move & below, mids, his)
         los = np.where(move & ~below, mids, los)
-        # the bracket just taken is child 2*node (down) or 2*node + 1 (up)
-        node = 2 * node + ~below
     eigs = np.split(0.5 * (los + his), np.cumsum(sizes)[:-1])
     # brackets for consecutive indices can overlap at tol scale; the true
     # spectrum is simple, so restore (weak) monotonicity
     return [np.maximum.accumulate(e) for e in eigs]
 
 
+def _newton_pays(ms, los, his, tols, sec) -> bool:
+    """Whether locating count transitions (``_locate``) costs less than bisecting on.
+
+    Bisection takes ``_level_cost`` per level until the widest bracket is
+    done or stuck.  The located solve takes ``_NEWTON_PASSES`` derivative
+    passes with ``_NEWTON_SHIFTS`` shifts per target in all, each shift-step
+    and row priced ``_SLOPE_COST`` times a count pass's, and a certifying
+    pass with two shifts per target; its few other shifts are left out.
+    """
+    # a bracket is done at 2 tol and stuck at about eps |lam|
+    spacing = np.maximum(2.0 * tols, _EPS * np.maximum(np.abs(los), np.abs(his)))
+    levels = math.log2(float(np.max((his - los) / spacing)))
+    targets = len(ms) * int(np.bincount(sec).max())
+    newton = _NEWTON_PASSES * _NUMPY_ROW_STEPS + _NEWTON_SHIFTS * targets
+    return _SLOPE_COST * newton + _pass_cost(2 * targets) < levels * _level_cost(targets)
+
+
+def _locate(ms, los, his, sec, targets, tols, active):
+    """Bounds (A, B] on each target's transition tau_i, for the replay.
+
+    tau_i is the least float whose count reaches target i + 1; the brackets
+    (los, his] hold it.  A speculative pass splits the brackets ``active``
+    targets still share.  Safeguarded Newton passes on det(T - lam) then
+    approach each tau_i, and once every iterate has settled a count pass at
+    delta = tols / 100 (at least two float spacings) either side of each
+    certifies it: (A, B] shrinks to about 2 delta.  An iterate that fails iterates again, within
+    ``_NEWTON_MAX_PASSES`` derivative passes in all.  Every count narrows
+    every target's bounds (``_tighten``).
+    """
+    low, high = los.copy(), his.copy()
+    bounds = (low, high)
+    same = (los[1:] == los[:-1]) & (his[1:] == his[:-1]) & (sec[1:] == sec[:-1])
+    shared = active & (np.append(same, False) | np.insert(same, 0, False))
+    if shared.any():
+        shifts, _, _ = _speculative_shifts(ms, los[shared], his[shared], sec[shared])
+        _tighten(bounds, sec, targets, shifts, _sturm_counts(ms, shifts))
+    # x +- delta must be distinct floats
+    delta = np.maximum(1e-2 * tols, 2.0 * _EPS * np.maximum(np.abs(los), np.abs(his)))
+    x, last = 0.5 * (low + high), np.full(sec.size, np.nan)
+    # (A, B] of width up to 3 delta counts as certified: x +- delta round
+    go = active & (high - low > 3.0 * delta)
+    newton, passes = go.copy(), 0
+    while go.any():
+        if newton.any() and passes < _NEWTON_MAX_PASSES:
+            passes += 1
+            idx = np.flatnonzero(newton)
+            (shifts,), col = _shift_rows(sec[idx], len(ms), x[idx])
+            counts, slopes = _sturm_counts(ms, shifts, slopes=True)
+            _tighten(bounds, sec, targets, shifts, counts)
+            # a slope of 0, inf or NaN gives a step whose iterate falls back below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                step = 1.0 / slopes[sec[idx], col]
+                # an iterate heads for tau_i only from a count of i (upward) or i + 1
+                over = counts[sec[idx], col] - targets[idx]
+                toward = ((over == 0) & (step <= 0.0)) | ((over == 1) & (step >= 0.0))
+                # quadratic convergence leaves about step**3 / last**2 after this step
+                size = np.abs(step)
+                settled = toward & ((size <= delta[idx])
+                                    | (size * size * size <= 0.5 * delta[idx] * last[idx] * last[idx]))
+                new = x[idx] - step
+            # any other iterate outside (A, B), NaN included, falls back to its midpoint
+            ok = settled | (toward & (low[idx] < new) & (new < high[idx]))
+            x[idx] = np.where(ok, new, 0.5 * (low[idx] + high[idx]))
+            last[idx] = np.where(ok, size, np.nan)
+            newton[idx[settled]] = False
+        else:
+            # count delta either side of each settled iterate, where inside its (A, B)
+            ends = np.stack((x - delta, x + delta), axis=1)
+            keep = go[:, None] & (low[:, None] < ends) & (ends < high[:, None])
+            if keep.any():
+                _count_at(ms, bounds, sec, targets, np.repeat(sec, 2)[keep.ravel()], ends[keep])
+            if passes == _NEWTON_MAX_PASSES:
+                break
+            newton = go.copy()
+            last.fill(np.nan)
+        go &= high - low > 3.0 * delta
+        newton &= go
+    return bounds
+
+
+def _replay_shifts(los, his, low, high, tols, sec):
+    """The midpoints inside (A, B) that bisection below each bracket may still meet.
+
+    A node's midpoint m sends the replay down where m >= B, up where m <= A
+    and either way where A < m < B, which records m.  A node is followed
+    while it is neither done nor stuck and is wider than B - A: at most two
+    per level, one of them undecided.  A section that stays live longer
+    can leave a midpoint for a later pass.  Returns the midpoints with
+    their sections, grouped by section.
+    """
+    found = []
+    while los.size:
+        mids = 0.5 * (los + his)
+        inside = (low < mids) & (mids < high)
+        found.append((sec[inside], mids[inside]))
+        up, down = inside | (mids <= low), inside | (mids >= high)
+        los, his = np.concatenate((mids[up], los[down])), np.concatenate((his[up], mids[down]))
+        low, high, tols, sec = (np.concatenate((v[up], v[down])) for v in (low, high, tols, sec))
+        mids = 0.5 * (los + his)
+        follow = (his - los > np.maximum(2.0 * tols, high - low)) & (los < mids) & (mids < his)
+        los, his, low, high, tols, sec = (v[follow] for v in (los, his, low, high, tols, sec))
+    at_sec, at = (np.concatenate(v) for v in zip(*found))
+    order = np.concatenate([np.flatnonzero(at_sec == g) for g in range(at_sec.max() + 1)])
+    return at_sec[order], at[order]
+
+
+def _count_at(ms, bounds, sec, targets, at_sec, at):
+    """Count at the shifts ``at`` of sections ``at_sec`` (grouped) and narrow every (A, B]."""
+    (shifts,), _ = _shift_rows(at_sec, len(ms), at)
+    _tighten(bounds, sec, targets, shifts, _sturm_counts(ms, shifts))
+
+
+def _tighten(bounds, sec, targets, shifts, counts):
+    """Narrow each target's (A, B] in place by the counts of a pass at ``shifts``.
+
+    Per section, B becomes the least shift counting target + 1 or more and A
+    the greatest counting fewer, where tighter: a least shift per count
+    value, then a running minimum from the top, and a greatest one, then a
+    running maximum from the bottom.
+    """
+    low, high = bounds
+    rows = np.repeat(np.arange(len(counts)), counts.shape[1])
+    least = np.full((len(counts), int(max(counts.max(), targets.max() + 1)) + 1), np.inf)
+    most = np.full_like(least, -np.inf)
+    np.minimum.at(least, (rows, counts.ravel()), shifts.ravel())
+    np.maximum.at(most, (rows, counts.ravel()), shifts.ravel())
+    np.minimum(high, -np.maximum.accumulate(-least[:, ::-1], axis=1)[sec, -targets - 2], out=high)
+    np.maximum(low, np.maximum.accumulate(most, axis=1)[sec, targets], out=low)
+
+
+def _pass_cost(shifts: int) -> float:
+    """Per-row cost of a count pass in shift-steps: ``_NUMPY_ROW_STEPS`` plus
+    one step per shift on numpy, a scalar step (priced so that the paths tie
+    at ``_SCALAR_MAX_SHIFTS``) per shift below it."""
+    if shifts < _SCALAR_MAX_SHIFTS:
+        return shifts * (_NUMPY_ROW_STEPS + _SCALAR_MAX_SHIFTS) / _SCALAR_MAX_SHIFTS
+    return _NUMPY_ROW_STEPS + shifts
+
+
+def _level_cost(targets: int) -> float:
+    """Least per-row cost per bisection level of a pass from ``targets`` brackets."""
+    top = _NUMPY_ROW_STEPS.bit_length() + 1
+    return min([_pass_cost(targets * (2**d - 1)) / d for d in range(1, top + 1)])
+
+
 def _speculative_depth(brackets: int, targets: int) -> int:
     """Bisection levels one Sturm pass should settle for ``brackets`` <= ``targets`` brackets.
 
     d levels take brackets * (2**d - 1) shifts and leave up to brackets * 2**d
-    brackets, at most ``targets``.  Per row a numpy pass costs
-    ``_NUMPY_ROW_STEPS`` plus one step per shift, a scalar pass a scalar step
-    (priced so the paths tie at ``_SCALAR_MAX_SHIFTS``) per shift.  With
+    brackets, at most ``targets``; passes are priced by ``_pass_cost``.  With
     ``steady`` the least cost per level of a pass from ``targets`` brackets,
     the depth is 1 where that is a one-level scalar pass, else the deepest
     d <= _NUMPY_ROW_STEPS.bit_length() + 1 whose last level (brackets *
@@ -436,40 +648,29 @@ def _speculative_depth(brackets: int, targets: int) -> int:
     the passes of least total cost until every target has a bracket, net of
     ``steady`` per level, unless targets exceed about 3,000 x brackets (the cap).
     """
-    scalar_step = (_NUMPY_ROW_STEPS + _SCALAR_MAX_SHIFTS) / _SCALAR_MAX_SHIFTS
     top = _NUMPY_ROW_STEPS.bit_length() + 1
-
-    def cost(shifts: int) -> float:
-        return shifts * scalar_step if shifts < _SCALAR_MAX_SHIFTS else _NUMPY_ROW_STEPS + shifts
-
-    steady = min([cost(targets * (2**d - 1)) / d for d in range(1, top + 1)])
-    if targets < _SCALAR_MAX_SHIFTS and cost(targets) <= steady:
+    steady = _level_cost(targets)
+    if targets < _SCALAR_MAX_SHIFTS and _pass_cost(targets) <= steady:
         return 1
     # brackets << (d - 1) <= ceil(steady) - 1, the greatest integer below steady;
     # d = 1 passes, as steady > targets >= brackets
     return min(top, ((math.ceil(steady) - 1) // brackets).bit_length())
 
 
-def _speculative_counts(ms, los, his, sec):
-    """Sturm counts at the midpoints of the next bisection levels of each bracket.
+def _speculative_shifts(ms, los, his, sec):
+    """The midpoints of the next bisection levels of each bracket, one row per section.
 
     Targets sharing a bracket are adjacent (``sec`` gives their sections),
     so they group without a sort.  Each distinct bracket roots a tree whose
     node j has children 2*j (lower half) and 2*j + 1.  Every section gets a
     row of shifts, padded by repeating its last bracket, for one pass over
-    the whole stack.  Returns each level's counts (section x node) and each
-    target's node on the first.
+    the whole stack.  Returns the shifts (section x node, level after level),
+    each level's width and each target's node on the first.
     """
     new = np.empty(sec.size, dtype=bool)
     new[0] = True
     new[1:] = (los[1:] != los[:-1]) | (his[1:] != his[:-1]) | (sec[1:] != sec[:-1])
-    bracket = np.cumsum(new) - 1
-    widths = np.bincount(sec[new], minlength=len(ms))
-    starts = np.cumsum(widths) - widths
-    # a section without targets repeats the bracket before its start (the
-    # last one if it is first): any finite bracket pads a row nobody reads
-    pad = starts[:, None] + np.minimum(np.arange(widths.max()), widths[:, None] - 1)
-    lows, highs = los[new][pad], his[new][pad]
+    (lows, highs), node = _shift_rows(sec[new], len(ms), los[new], his[new])
     mids = [0.5 * (lows + highs)]
     # no row of brackets outgrows its section's target count
     targets = len(ms) * int(np.bincount(sec).max())
@@ -478,9 +679,20 @@ def _speculative_counts(ms, los, his, sec):
         lows = np.stack((lows, mids[-1]), axis=2).reshape(len(ms), -1)
         highs = np.stack((mids[-1], highs), axis=2).reshape(len(ms), -1)
         mids.append(0.5 * (lows + highs))
-    counts = _sturm_counts(ms, np.concatenate(mids, axis=1))
-    levels = np.split(counts, np.cumsum([level.shape[1] for level in mids[:-1]]), axis=1)
-    return levels, bracket - starts[sec]
+    return np.concatenate(mids, axis=1), [level.shape[1] for level in mids], node[np.cumsum(new) - 1]
+
+
+def _shift_rows(sec, sections, *values):
+    """Each of ``values`` (grouped by section ``sec``) as one row per section, and each entry's column.
+
+    Rows are padded by repeating their last entry; a section without entries
+    repeats the one before its start (the last one if it is first): any
+    finite shift pads a row nobody reads.
+    """
+    widths = np.bincount(sec, minlength=sections)
+    starts = np.cumsum(widths) - widths
+    pad = starts[:, None] + np.minimum(np.arange(widths.max()), widths[:, None] - 1)
+    return [v[pad] for v in values], np.arange(sec.size) - starts[sec]
 
 
 def carleman_partial_sums(a: Callable, n_terms: int) -> np.ndarray:

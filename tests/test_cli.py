@@ -187,6 +187,16 @@ class TestExitCodesAndDeterminism:
         assert cp.stderr.startswith("rabi-spectra: regime error: indicator half-line")
         assert len(cp.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("delta", ["1e100", "1e308"])
+    def test_indicator_lost_at_huge_delta_is_exit_two(self, delta):
+        # the indicator's rounding error grows with delta until its endpoint
+        # reads 0.0; the closed form's -1/2 is not confirmed, so nothing prints
+        cp = run_cli("classify", "--model", "two-photon", "--g", "critical", "--delta", delta)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("rabi-spectra: regime error: indicator half-line")
+        assert len(cp.stderr.splitlines()) == 1
+
     def test_byte_identical_reruns(self):
         args = ("classify", "--model", "rabi-stark", "--kappa", "0.6",
                 "--delta", "1", "--on-circle", "--format", "json")

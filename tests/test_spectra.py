@@ -274,6 +274,46 @@ class TestLockstep:
             monkeypatch.setattr(tridiag, "_BLOCK_ELEMS", block_rows)
         self.check(ms, 12, tols, want)
 
+    @staticmethod
+    def located(monkeypatch):
+        """Price the located route below any bisection and count its derivative passes."""
+        slopes, sturm_counts = [], tridiag._sturm_counts
+
+        def counting(m, lams, sizes=None, **kwargs):
+            slopes.append(kwargs.get("slopes", False))
+            return sturm_counts(m, lams, sizes, **kwargs)
+
+        monkeypatch.setattr(tridiag, "_SLOPE_COST", -np.inf)
+        monkeypatch.setattr(tridiag, "_sturm_counts", counting)
+        return slopes
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_located_route_bytes(self, monkeypatch, family):
+        # every lockstep solve locates count transitions after its first pass
+        rng = np.random.default_rng(40 + _FAMILIES.index(family))
+        ms = self.grid_sections(rng, family, 100)
+        tols, k = [default_bisect_tol(m) for m in ms], int(rng.integers(2, 21))
+        want = [_lowest_alone(m, k, tol).tobytes() for m, tol in zip(ms, tols)]
+        slopes = self.located(monkeypatch)
+        self.check(ms, k, tols, want)
+        assert any(slopes)
+
+    def test_located_route_with_uneven_sections(self, monkeypatch):
+        # sections without targets, k above some counts and tolerances from
+        # loose to stuck, as in test_sections_with_different_target_counts
+        rng = np.random.default_rng(12)
+        ms = [random_sym_tridiag(rng, 40) for _ in range(6)]
+        windows = [(-9.0, -8.0), (-1.0, 0.0), (-5.0, 5.0), (0.0, 2.5), (-2.0, 9.0), (1.0, 1.5)]
+        tols, k = [1e-3, 1e-12, 1e-300, 1e-9, 1e-12, 1e-6], 7
+        want = [eigenvalues_bisect(m, window=w, tol=t, k=k).eigenvalues.tobytes()
+                for m, w, t in zip(ms, windows, tols)]
+        lo, hi = np.array(windows).T
+        first, end = np.array([tridiag._sturm_counts(m, w) for m, w in zip(ms, windows)]).T
+        slopes = self.located(monkeypatch)
+        got = _bisect_sections(ms, lo, hi, first, np.minimum(end, first + k), tols)
+        assert [g.tobytes() for g in got] == want
+        assert any(slopes)
+
     def test_stuck_brackets_bytes(self):
         # tol far below float spacing: every bracket ends stuck, not done
         rng = np.random.default_rng(11)
@@ -333,9 +373,9 @@ class TestLockstep:
         calls = []
         sturm_counts = tridiag._sturm_counts
 
-        def counting(m, lams, sizes=None):
+        def counting(m, lams, sizes=None, **kwargs):
             calls.append(m)
-            return sturm_counts(m, lams, sizes)
+            return sturm_counts(m, lams, sizes, **kwargs)
 
         monkeypatch.setattr(tridiag, "_sturm_counts", counting)
         monkeypatch.setattr(spectra, "_sturm_counts", counting)
@@ -381,9 +421,9 @@ class TestLockstep:
             monkeypatch.setattr(owner, name, prop)
         sturm_counts = tridiag._sturm_counts
 
-        def counting_passes(m, lams, sizes=None):
+        def counting_passes(m, lams, sizes=None, **kwargs):
             passes.append(np.size(lams))
-            return sturm_counts(m, lams, sizes)
+            return sturm_counts(m, lams, sizes, **kwargs)
 
         monkeypatch.setattr(tridiag, "_sturm_counts", counting_passes)
         monkeypatch.setattr(spectra, "_sturm_counts", counting_passes)

@@ -7,6 +7,7 @@ exactly on an eigenvalue are judged by 50-digit mpmath eigenvalues.
 """
 
 import functools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -388,17 +389,94 @@ class TestSpeculativeBisection:
             eigenvalues_bisect(m, k=k)
 
     def test_full_spectrum_pass_count(self, monkeypatch):
-        # counts passes, not time: the one-level loop takes 40 here
+        # counts passes, not time: the one-level loop takes 40 here, and a
+        # derivative pass counts as one
         calls = []
 
-        def counting(m, lams, sizes=None):
-            calls.append(len(lams))
-            return _sturm_counts(m, lams, sizes)
+        def counting(m, lams, sizes=None, **kwargs):
+            calls.append(kwargs.get("slopes", False))
+            return _sturm_counts(m, lams, sizes, **kwargs)
 
         monkeypatch.setattr(tridiag, "_sturm_counts", counting)
         params = jacobi_params(TwoPhoton(g=0.3, delta=1.0), SectorLabel(1, 0))
         assert len(spectrum_scan(params, 1000)) == 1000
         assert len(calls) <= 16
+        # the located solve: the first pass, 8 derivative passes, a certifying
+        # pass and one replay pass
+        assert sum(calls) <= 8 and len(calls) <= 12
+
+
+class TestLocatedBisection:
+    """Solves that locate count transitions keep the one-level loop's bytes.
+
+    ``_SLOPE_COST`` at -inf prices the located route below any bisection, so
+    every solve takes it after its first pass, on sections far too small to
+    pay for it, and replays every level from the bounds it located.
+    """
+
+    @pytest.fixture(autouse=True)
+    def derivative_passes(self, monkeypatch):
+        passes = []
+
+        def counting(m, lams, sizes=None, **kwargs):
+            passes.append(kwargs.get("slopes", False))
+            return _sturm_counts(m, lams, sizes, **kwargs)
+
+        monkeypatch.setattr(tridiag, "_SLOPE_COST", -np.inf)
+        monkeypatch.setattr(tridiag, "_sturm_counts", counting)
+        yield passes
+        assert any(passes)
+
+    @pytest.mark.parametrize("n", [12, 20, 150])
+    @pytest.mark.parametrize("make", [random_sym_tridiag, _integer_sym_tridiag])
+    def test_full_spectrum_bytes(self, n, make):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            m = make(rng, n)
+            assert eigenvalues_bisect(m).eigenvalues.tobytes() == _reference_bisect(m).tobytes()
+
+    @pytest.mark.parametrize("n", [12, 20, 150])
+    def test_random_window_bytes(self, n):
+        rng = np.random.default_rng(n + 1)
+        for _ in range(5):
+            m = random_sym_tridiag(rng, n)
+            lo, hi = m.gershgorin()
+            window = tuple(np.sort(rng.uniform(lo - 1.0, hi + 1.0, size=2)))
+            got = eigenvalues_bisect(m, window=window).eigenvalues
+            assert got.tobytes() == _reference_bisect(m, window).tobytes()
+
+    @pytest.mark.parametrize("n, window", [(9, (-4.0, 6.0)), (101, (-79.0, 79.0)), (101, (0.0, 100.0))])
+    def test_window_ends_on_exact_eigenvalues(self, n, window):
+        m = _kac(n)
+        got = eigenvalues_bisect(m, window=window).eigenvalues
+        assert got.tobytes() == _reference_bisect(m, window).tobytes()
+
+    @pytest.mark.parametrize("n", [12, 20, 150])
+    def test_stuck_brackets_bytes(self, n):
+        # tol far below float spacing: every bracket ends stuck, not done
+        rng = np.random.default_rng(n + 2)
+        m = random_sym_tridiag(rng, n)
+        got = eigenvalues_bisect(m, tol=1e-300).eigenvalues
+        assert got.tobytes() == _reference_bisect(m, tol=1e-300).tobytes()
+
+    @pytest.mark.parametrize("n, k", [(40, 7), (200, 15), (200, 30), (200, 150)])
+    def test_k_is_prefix_of_full_solve(self, n, k):
+        rng = np.random.default_rng(n + k)
+        m = random_sym_tridiag(rng, n)
+        lo, hi = m.gershgorin()
+        window = (lo - 1.0, hi + 1.0)
+        full = eigenvalues_bisect(m, window=window).eigenvalues
+        assert full.tobytes() == _reference_bisect(m, window).tobytes()
+        got = eigenvalues_bisect(m, window=window, k=k).eigenvalues
+        assert got.tobytes() == full[:k].tobytes()
+
+
+def test_tighten_reads_each_count_transition():
+    # counts 0, 1, 1, 3 at shifts 0, 1, 2, 3, given out of order
+    low, high = np.full(3, -9.0), np.full(3, 9.0)
+    shifts, counts = np.array([[2.0, 0.0, 3.0, 1.0]]), np.array([[1, 0, 3, 1]])
+    tridiag._tighten((low, high), np.zeros(3, dtype=int), np.arange(3), shifts, counts)
+    assert low.tolist() == [0.0, 2.0, 2.0] and high.tolist() == [1.0, 3.0, 3.0]
 
 
 def _reference_pivots(m, lams):
@@ -537,6 +615,104 @@ class TestStackedPass:
         ms = [random_sym_tridiag(np.random.default_rng(6), 4), SymTridiag(np.zeros(5), np.ones(4))]
         with pytest.raises(ValueError, match="equal sizes"):
             _sturm_counts(ms, lams)
+
+
+def _assert_oracle_slopes(m, lams, slopes):
+    """Slopes match sum over eigenvalues e of 1 / (lam - e) (dense oracle) at shifts 1e-3 from every e.
+
+    That sum is d/dlam log|det(T - lam)|; the error allowed is 1e-8 of the sum of its magnitudes.
+    """
+    with np.errstate(divide="ignore"):
+        terms = 1.0 / (np.asarray(lams, dtype=float)[:, None] - dense_eigenvalues(m)[None, :])
+    away = np.all(np.abs(terms) < 1e3, axis=1)
+    assert away.sum() >= len(lams) // 2
+    err = np.abs(np.asarray(slopes)[away] - terms[away].sum(axis=1))
+    assert np.all(err <= 1e-8 * np.abs(terms[away]).sum(axis=1))
+
+
+class TestSlopePass:
+    """A derivative pass counts as a count pass does and sums 1 / (lam - e).
+
+    Its pivots are the count pass's IEEE operations, on both kernel paths;
+    its slopes are checked against the dense oracle away from eigenvalues.
+    """
+
+    @given(st.integers(1, 40), st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_counts_equal_count_pass(self, n, seed):
+        rng = np.random.default_rng(seed)
+        for m in (random_sym_tridiag(rng, n), _integer_sym_tridiag(rng, n)):
+            lo, hi = m.gershgorin()
+            # diagonal entries and integers put zero pivots on inner rows
+            lams = [*rng.uniform(lo - 1.0, hi + 1.0, size=30), *m.diag[:3],
+                    *np.arange(np.floor(lo), np.ceil(hi) + 1.0)]
+            # a derivative pass always runs numpy; 5 shifts count on the scalar loop
+            for shifts in (lams[:5], lams):
+                counts, slopes = _sturm_counts(m, shifts, slopes=True)
+                assert counts.tolist() == _sturm_counts(m, shifts).tolist()
+                assert counts.tolist() == _reference_counts(m, shifts).tolist()
+                assert slopes.shape == counts.shape
+            # nudging a zero pivot keeps the slope finite
+            _, slopes = _sturm_counts(m, [m.diag[0]], slopes=True)
+            assert np.all(np.isfinite(slopes))
+
+    @pytest.mark.parametrize("shifts", [5, 40])
+    def test_slopes_match_oracle(self, shifts):
+        rng = np.random.default_rng(shifts)
+        for m in (random_sym_tridiag(rng, 30), _integer_sym_tridiag(rng, 30),
+                  _zero_pivot_section(_PIVOTS)):
+            lams = rng.uniform(m.gershgorin()[0] - 1.0, m.gershgorin()[1] + 1.0, size=shifts)
+            _assert_oracle_slopes(m, lams, _sturm_counts(m, lams, slopes=True)[1])
+
+    # _BLOCK_ELEMS at 2 x rows x shifts: the derivative rows share the block
+    # budget, so the pass steps blocks of 1-4 rows
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sizes", [None, [1, 4, 8, 10, 15]])
+    def test_blocks_and_zero_pivots(self, monkeypatch, rows, sizes):
+        m = _zero_pivot_section(_PIVOTS)
+        rng = np.random.default_rng(30 + rows)
+        lams = np.array([0.0, *rng.uniform(*m.gershgorin(), size=70)])
+        monkeypatch.setattr(tridiag, "_BLOCK_ELEMS", 2 * rows * lams.size)
+        counts, slopes = _sturm_counts(m, lams, sizes, slopes=True)
+        assert counts.tolist() == _reference_counts(m, lams, sizes).tolist()
+        # nudged zero pivots count as positive
+        stops = [m.n_max] if sizes is None else sizes
+        expect = [sum(p < 0 for p in _PIVOTS[:stop]) for stop in stops]
+        assert np.reshape(counts, (len(stops), -1))[:, 0].tolist() == expect
+        # shift 0 meets every zero pivot, which the pass nudges to finite slopes
+        assert np.all(np.isfinite(slopes))
+        _assert_oracle_slopes(m, lams, slopes)
+
+    def test_stacked_rows_equal_sections_alone(self):
+        rng = np.random.default_rng(7)
+        ms = TestStackedPass.sections(rng, 15)
+        lams = np.stack([[0.0, *rng.uniform(*m.gershgorin(), size=29)] for m in ms])
+        counts, slopes = _sturm_counts(ms, lams, slopes=True)
+        for m, row, c, s in zip(ms, lams, counts, slopes):
+            alone = _sturm_counts(m, row, slopes=True)
+            assert c.tolist() == alone[0].tolist()
+            np.testing.assert_allclose(s, alone[1], rtol=1e-12)
+
+    def test_derivative_rows_share_the_block_budget(self):
+        # numpy allocations are traced: a derivative pass holds no more than a count pass
+        m = random_sym_tridiag(np.random.default_rng(8), 300)
+        lams = np.linspace(*m.gershgorin(), 1000)
+        peaks = []
+        for slopes in (False, True):
+            tracemalloc.start()
+            _sturm_counts(m, lams, slopes=slopes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_subnormal_shift_warns_nothing(self):
+        # a shift a subnormal step above the eigenvalue 0 overflows q / d
+        m = SymTridiag(diag=[0.0, 0.0, 0.0], offdiag=[1.0, 1.0])
+        lam = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts, _ = _sturm_counts(m, [lam], slopes=True)
+            assert counts[0] == sturm_count(m, lam)
 
 
 def _growing_section(rng, n, slope=3.0, integer=False):
