@@ -76,8 +76,8 @@ def _lowest_sections(sections: Sequence[SymTridiag], k: int, tols) -> list[np.nd
     Each result is bit for bit the one a solve of that section alone gives.
     """
     tols = np.asarray(tols, dtype=float)
-    if not np.all(tols > 0.0):
-        raise ValueError("tol must be strictly positive")
+    if not np.all((tols > 0.0) & (tols < np.inf)):
+        raise ValueError("tol must be strictly positive and finite")
     glo, ghi = np.array([m.gershgorin() for m in sections]).T
     pad = 1e-9 * np.maximum(1.0, np.maximum(np.abs(glo), np.abs(ghi)))
     lo, hi, top = glo - pad, np.minimum(glo + 1.0, ghi) + pad, ghi + pad

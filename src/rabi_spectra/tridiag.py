@@ -23,18 +23,17 @@ the same stop whose block end s >= s0 has a largest shift <= L0 and a
 least carried pivot >= P[s - s0] is certified with no walk: from there
 each pivot stays >= P[s - s0 + 1], ..., which the walk proved positive.
 
-Bisection passes count at the midpoints of the next levels below every
-distinct bracket, read by tree position: the floats one-level bisection
-would pass, so every eigenvalue keeps its bits.
-
-Counts are monotone in the shift, so for target i (0-based) there is a
-least float tau_i whose count reaches i + 1, and count(mid) >= i + 1
-exactly when mid >= tau_i.  A solve that ``_newton_pays`` for narrows, after
-its first pass, an interval (A, B] around each tau_i with every count it
-takes: Newton passes on det(T - lam) find tau_i and a count either side
-certifies it.  The bisection loop then replays its own floats: a midpoint
-<= A goes up, one >= B goes down, and only midpoints inside (A, B) are
-counted, so each eigenvalue keeps its bits again.
+Bisection keeps the bits of the one-level loop, which counts at every
+bracket's midpoint, by one rule.  Counts are monotone in the shift, so for
+target i (0-based) there is a least float tau_i whose count reaches i + 1,
+and count(mid) >= i + 1 exactly when mid >= tau_i.  Every count a solve
+takes narrows an interval (A, B] around each tau_i, where count(A) <= i <
+count(B): a midpoint >= B goes down and one <= A goes up, as the one-level
+loop would send it.  Only a midpoint inside (A, B) takes a pass, which
+counts the next levels below every distinct bracket or, once a solve that
+``_newton_pays`` for has located each tau_i by Newton passes on
+det(T - lam) and certified it by a count either side, the midpoints the
+remaining levels may still meet inside (A, B).
 """
 
 from __future__ import annotations
@@ -417,8 +416,8 @@ def eigenvalues_bisect(m: SymTridiag, window: tuple[float, float] | None = None,
     float spacing can move one by an ulp, still within tol.
     """
     tol = float(default_bisect_tol(m) if tol is None else tol)
-    if not tol > 0.0:
-        raise ValueError("tol must be strictly positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be strictly positive and finite")
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
     if window is None:
@@ -442,9 +441,13 @@ def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
 
     Section g's brackets start at [lo[g], hi[g]) and halve to half-width tol[g].
     They stop moving once all are done or stuck, as a solve of it alone would,
-    so it keeps that solve's bytes; each pass counts the whole stack.  Where
-    ``_newton_pays``, the solve locates every target's count transition after
-    the first pass (``_locate``) and replays the remaining levels from it.
+    so it keeps that solve's bytes; each pass counts the whole stack.  Each
+    target's (A, B] starts at (lo[g], hi[g]], as count(lo) <= i < count(hi),
+    and every count narrows it (``_tighten``).  A step sends each midpoint
+    down where it is >= B and up where it is <= A.  While a moving midpoint
+    lies inside (A, B), one pass is taken first: the next levels
+    (``_speculative_shifts``) or, where ``_newton_pays`` (priced once, after
+    the first pass) and ``_locate`` has run, the replay's (``_replay_shifts``).
     """
     ms = ms if isinstance(ms, _Stack) else _Stack(ms)
     sizes = np.maximum(np.asarray(stop) - np.asarray(first), 0)
@@ -452,7 +455,8 @@ def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
     offset = np.repeat(np.asarray(first) - (np.cumsum(sizes) - sizes), sizes)
     targets = np.arange(sec.size) + offset
     los, his, tols = (np.asarray(x, dtype=float)[sec] for x in (lo, hi, tol))
-    level_counts, node, bounds, located = [], None, None, None
+    bounds = low, high = los.copy(), his.copy()
+    passes, located = 0, False
     while True:
         mids = 0.5 * (los + his)
         done = (his - los) <= 2.0 * tols
@@ -461,28 +465,22 @@ def _bisect_sections(ms, lo, hi, first, stop, tol) -> list[np.ndarray]:
         if not live.any():
             break
         move = live[sec]
-        if located is None and node is not None and not level_counts:
-            # priced once, after the first pass
-            located = _newton_pays(ms, los[move], his[move], tols[move], sec[move])
-            if located:
-                bounds = _locate(ms, los, his, sec, targets, tols, move)
-        if bounds is not None:
-            low, high = bounds
-            unknown = move & (low < mids) & (mids < high)
-            if unknown.any():
-                # one pass settles every midpoint the remaining levels may leave undecided
-                at_sec, at = _replay_shifts(*(v[move] for v in (los, his, low, high, tols, sec)))
-                _count_at(ms, bounds, sec, targets, at_sec, at)
+        if (move & (low < mids) & (mids < high)).any():
+            if passes == 1 and not located and _newton_pays(
+                ms, los[move], his[move], tols[move], sec[move]
+            ):
+                _locate(ms, los, his, bounds, sec, targets, tols, move)
+                located = True
                 continue
-            # every midpoint now lies at or below A (up) or at or above B (down)
-            below = mids >= high
-        else:
-            if not level_counts:
-                shifts, widths, node = _speculative_shifts(ms, los, his, sec)
-                level_counts = np.split(_sturm_counts(ms, shifts), np.cumsum(widths)[:-1], axis=1)
-            below = level_counts.pop(0)[sec, node] >= targets + 1
-            # the bracket just taken is child 2*node (down) or 2*node + 1 (up)
-            node = 2 * node + ~below
+            if located:
+                shifts = _replay_shifts(len(ms), *(v[move] for v in (los, his, low, high, tols, sec)))
+            else:
+                shifts = _speculative_shifts(ms, los, his, sec)
+            _count_at(ms, bounds, sec, targets, shifts)
+            passes += 1
+            continue
+        # every moving midpoint lies at or below A (up) or at or above B (down)
+        below = mids >= high
         his = np.where(move & below, mids, his)
         los = np.where(move & ~below, mids, los)
     eigs = np.split(0.5 * (los + his), np.cumsum(sizes)[:-1])
@@ -508,25 +506,25 @@ def _newton_pays(ms, los, his, tols, sec) -> bool:
     return _SLOPE_COST * newton + _pass_cost(2 * targets) < levels * _level_cost(targets)
 
 
-def _locate(ms, los, his, sec, targets, tols, active):
-    """Bounds (A, B] on each target's transition tau_i, for the replay.
+def _locate(ms, los, his, bounds, sec, targets, tols, active):
+    """Narrow the solve's ``bounds`` (A, B] on each target's transition tau_i, for the replay.
 
-    tau_i is the least float whose count reaches target i + 1; the brackets
-    (los, his] hold it.  A speculative pass splits the brackets ``active``
-    targets still share.  Safeguarded Newton passes on det(T - lam) then
-    approach each tau_i, and once every iterate has settled a count pass at
-    delta = tols / 100 (at least two float spacings) either side of each
-    certifies it: (A, B] shrinks to about 2 delta.  An iterate that fails iterates again, within
-    ``_NEWTON_MAX_PASSES`` derivative passes in all.  Every count narrows
-    every target's bounds (``_tighten``).
+    tau_i is the least float whose count reaches target i + 1; after the
+    first pass (A, B] is the bracket (los, his].  A speculative pass splits
+    the brackets ``active`` targets still share.  Safeguarded Newton passes
+    on det(T - lam) then approach each tau_i, and once every iterate has
+    settled a count pass at delta = tols / 100 (at least two float spacings)
+    either side of each certifies it: (A, B] shrinks to about 2 delta.  An
+    iterate that fails iterates again, within ``_NEWTON_MAX_PASSES``
+    derivative passes in all.  Every count narrows every target's bounds
+    (``_tighten``).
     """
-    low, high = los.copy(), his.copy()
-    bounds = (low, high)
+    low, high = bounds
     same = (los[1:] == los[:-1]) & (his[1:] == his[:-1]) & (sec[1:] == sec[:-1])
     shared = active & (np.append(same, False) | np.insert(same, 0, False))
     if shared.any():
-        shifts, _, _ = _speculative_shifts(ms, los[shared], his[shared], sec[shared])
-        _tighten(bounds, sec, targets, shifts, _sturm_counts(ms, shifts))
+        shifts = _speculative_shifts(ms, los[shared], his[shared], sec[shared])
+        _count_at(ms, bounds, sec, targets, shifts)
     # x +- delta must be distinct floats
     delta = np.maximum(1e-2 * tols, 2.0 * _EPS * np.maximum(np.abs(los), np.abs(his)))
     x, last = 0.5 * (low + high), np.full(sec.size, np.nan)
@@ -561,25 +559,24 @@ def _locate(ms, los, his, sec, targets, tols, active):
             ends = np.stack((x - delta, x + delta), axis=1)
             keep = go[:, None] & (low[:, None] < ends) & (ends < high[:, None])
             if keep.any():
-                _count_at(ms, bounds, sec, targets, np.repeat(sec, 2)[keep.ravel()], ends[keep])
+                (shifts,), _ = _shift_rows(np.repeat(sec, 2)[keep.ravel()], len(ms), ends[keep])
+                _count_at(ms, bounds, sec, targets, shifts)
             if passes == _NEWTON_MAX_PASSES:
                 break
             newton = go.copy()
             last.fill(np.nan)
         go &= high - low > 3.0 * delta
         newton &= go
-    return bounds
 
 
-def _replay_shifts(los, his, low, high, tols, sec):
-    """The midpoints inside (A, B) that bisection below each bracket may still meet.
+def _replay_shifts(sections, los, his, low, high, tols, sec):
+    """The midpoints inside (A, B) that bisection below each bracket may still meet, one row per section.
 
-    A node's midpoint m sends the replay down where m >= B, up where m <= A
-    and either way where A < m < B, which records m.  A node is followed
-    while it is neither done nor stuck and is wider than B - A: at most two
-    per level, one of them undecided.  A section that stays live longer
-    can leave a midpoint for a later pass.  Returns the midpoints with
-    their sections, grouped by section.
+    A bracket's midpoint m sends the replay down where m >= B, up where
+    m <= A and either way where A < m < B, which records m.  A bracket is
+    followed while it is neither done nor stuck and is wider than B - A: at
+    most two per level, one of them undecided.  A section that stays live
+    longer can leave a midpoint for a later pass.
     """
     found = []
     while los.size:
@@ -593,13 +590,13 @@ def _replay_shifts(los, his, low, high, tols, sec):
         follow = (his - los > np.maximum(2.0 * tols, high - low)) & (los < mids) & (mids < his)
         los, his, low, high, tols, sec = (v[follow] for v in (los, his, low, high, tols, sec))
     at_sec, at = (np.concatenate(v) for v in zip(*found))
-    order = np.concatenate([np.flatnonzero(at_sec == g) for g in range(at_sec.max() + 1)])
-    return at_sec[order], at[order]
+    order = np.argsort(at_sec, kind="stable")
+    (shifts,), _ = _shift_rows(at_sec[order], sections, at[order])
+    return shifts
 
 
-def _count_at(ms, bounds, sec, targets, at_sec, at):
-    """Count at the shifts ``at`` of sections ``at_sec`` (grouped) and narrow every (A, B]."""
-    (shifts,), _ = _shift_rows(at_sec, len(ms), at)
+def _count_at(ms, bounds, sec, targets, shifts):
+    """Count the stack at ``shifts`` (one row per section) and narrow every (A, B]."""
     _tighten(bounds, sec, targets, shifts, _sturm_counts(ms, shifts))
 
 
@@ -607,17 +604,18 @@ def _tighten(bounds, sec, targets, shifts, counts):
     """Narrow each target's (A, B] in place by the counts of a pass at ``shifts``.
 
     Per section, B becomes the least shift counting target + 1 or more and A
-    the greatest counting fewer, where tighter: a least shift per count
-    value, then a running minimum from the top, and a greatest one, then a
-    running maximum from the bottom.
+    the greatest counting fewer, where tighter: in one flat (section x count)
+    table a least shift per count, then a running minimum from the top, and
+    a greatest one, then a running maximum from the bottom.
     """
     low, high = bounds
-    rows = np.repeat(np.arange(len(counts)), counts.shape[1])
-    least = np.full((len(counts), int(max(counts.max(), targets.max() + 1)) + 1), np.inf)
-    most = np.full_like(least, -np.inf)
-    np.minimum.at(least, (rows, counts.ravel()), shifts.ravel())
-    np.maximum.at(most, (rows, counts.ravel()), shifts.ravel())
-    np.minimum(high, -np.maximum.accumulate(-least[:, ::-1], axis=1)[sec, -targets - 2], out=high)
+    width = int(max(counts.max(), targets.max() + 1)) + 1
+    cells = (counts + width * np.arange(len(counts))[:, None]).ravel()
+    least, most = np.full(len(counts) * width, np.inf), np.full(len(counts) * width, -np.inf)
+    np.minimum.at(least, cells, shifts.ravel())
+    np.maximum.at(most, cells, shifts.ravel())
+    least, most = least.reshape(-1, width), most.reshape(-1, width)
+    np.minimum(high, np.minimum.accumulate(least[:, ::-1], axis=1)[sec, -targets - 2], out=high)
     np.maximum(low, np.maximum.accumulate(most, axis=1)[sec, targets], out=low)
 
 
@@ -658,36 +656,35 @@ def _speculative_depth(brackets: int, targets: int) -> int:
 
 
 def _speculative_shifts(ms, los, his, sec):
-    """The midpoints of the next bisection levels of each bracket, one row per section.
+    """The midpoints of the next bisection levels below each distinct bracket, one row per section.
 
     Targets sharing a bracket are adjacent (``sec`` gives their sections),
-    so they group without a sort.  Each distinct bracket roots a tree whose
-    node j has children 2*j (lower half) and 2*j + 1.  Every section gets a
-    row of shifts, padded by repeating its last bracket, for one pass over
-    the whole stack.  Returns the shifts (section x node, level after level),
-    each level's width and each target's node on the first.
+    so they group without a sort.  Every section gets a row of shifts,
+    padded by repeating its last bracket, for one pass over the whole
+    stack; the counts narrow (A, B], so where a shift lies in its row does
+    not matter.
     """
     new = np.empty(sec.size, dtype=bool)
     new[0] = True
     new[1:] = (los[1:] != los[:-1]) | (his[1:] != his[:-1]) | (sec[1:] != sec[:-1])
-    (lows, highs), node = _shift_rows(sec[new], len(ms), los[new], his[new])
+    (lows, highs), _ = _shift_rows(sec[new], len(ms), los[new], his[new])
     mids = [0.5 * (lows + highs)]
     # no row of brackets outgrows its section's target count
     targets = len(ms) * int(np.bincount(sec).max())
     for _ in range(1, _speculative_depth(lows.size, targets)):
-        # interleave the children so that node j's lie at 2*j and 2*j + 1
-        lows = np.stack((lows, mids[-1]), axis=2).reshape(len(ms), -1)
-        highs = np.stack((mids[-1], highs), axis=2).reshape(len(ms), -1)
+        lows = np.concatenate((lows, mids[-1]), axis=1)
+        highs = np.concatenate((mids[-1], highs), axis=1)
         mids.append(0.5 * (lows + highs))
-    return np.concatenate(mids, axis=1), [level.shape[1] for level in mids], node[np.cumsum(new) - 1]
+    return np.concatenate(mids, axis=1)
 
 
 def _shift_rows(sec, sections, *values):
     """Each of ``values`` (grouped by section ``sec``) as one row per section, and each entry's column.
 
     Rows are padded by repeating their last entry; a section without entries
-    repeats the one before its start (the last one if it is first): any
-    finite shift pads a row nobody reads.
+    repeats the one before its start (the last one if it is first): counts
+    at any finite shift are true of the section, so padding narrows (A, B]
+    soundly.
     """
     widths = np.bincount(sec, minlength=sections)
     starts = np.cumsum(widths) - widths

@@ -4,11 +4,13 @@ The LAPACK-backed dense solver is the independent oracle for the library's
 Sturm/bisection path; it is deliberately kept out of the package itself.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from rabi_spectra import SymTridiag
+from rabi_spectra import SymTridiag, spectra, tridiag
 
 
 def dense_eigenvalues(m: SymTridiag) -> np.ndarray:
@@ -32,3 +34,25 @@ def random_sym_tridiag(rng: np.random.Generator, n: int) -> SymTridiag:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+class SturmPass(NamedTuple):
+    """One ``_sturm_counts`` call: the section or stack it counted, ``slopes`` and its shift count."""
+
+    stack: object
+    slopes: bool
+    shifts: int
+
+
+@pytest.fixture
+def sturm_passes(monkeypatch) -> list[SturmPass]:
+    """Records every ``_sturm_counts`` call that ``tridiag`` and ``spectra`` make during the test."""
+    passes, sturm_counts = [], tridiag._sturm_counts
+
+    def recording(m, lams, sizes=None, **kwargs):
+        passes.append(SturmPass(m, kwargs.get("slopes", False), int(np.size(lams))))
+        return sturm_counts(m, lams, sizes, **kwargs)
+
+    monkeypatch.setattr(tridiag, "_sturm_counts", recording)
+    monkeypatch.setattr(spectra, "_sturm_counts", recording)
+    return passes

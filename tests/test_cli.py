@@ -118,6 +118,14 @@ class TestSpectrum:
         code, out, err = run_main(argv + ["--g", "1e154"])
         assert (code, out) == (1, "") and "sqrt(float max)" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
+    def test_bad_tol_is_exit_one(self, tol):
+        # an infinite tol used to print every eigenvalue as the window midpoint
+        argv = ["spectrum", "--model", "two-photon", "--g", "0.3", "--delta", "1",
+                "--sector", "0+", "--cutoff", "30", "--tol", tol]
+        code, out, err = run_main(argv)
+        assert (code, out) == (1, "") and "tol" in err
+
 
 class TestCollapse:
     def test_matches_golden_file(self):

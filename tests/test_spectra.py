@@ -48,6 +48,12 @@ class TestSpectrumScan:
         expected = dense_eigenvalues(params.truncation(100))[:10]
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.inf, np.nan])
+    def test_lowest_rejects_bad_tol(self, tol):
+        params = jacobi_params(TwoPhoton(g=0.3, delta=1.0), SectorLabel(1, 0))
+        with pytest.raises(ValueError, match="tol"):
+            lowest_eigenvalues(params, 30, 5, tol=tol)
+
     def test_window_below_spectrum_is_empty(self):
         params = jacobi_params(TwoPhoton(g=0.4, delta=0.0), SectorLabel(1, 0))
         lo, _ = params.truncation(50).gershgorin()
@@ -275,30 +281,23 @@ class TestLockstep:
         self.check(ms, 12, tols, want)
 
     @staticmethod
-    def located(monkeypatch):
-        """Price the located route below any bisection and count its derivative passes."""
-        slopes, sturm_counts = [], tridiag._sturm_counts
-
-        def counting(m, lams, sizes=None, **kwargs):
-            slopes.append(kwargs.get("slopes", False))
-            return sturm_counts(m, lams, sizes, **kwargs)
-
+    def located(monkeypatch, sturm_passes):
+        """Price the located route below any bisection and count passes from here on."""
         monkeypatch.setattr(tridiag, "_SLOPE_COST", -np.inf)
-        monkeypatch.setattr(tridiag, "_sturm_counts", counting)
-        return slopes
+        sturm_passes.clear()
 
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_located_route_bytes(self, monkeypatch, family):
+    def test_located_route_bytes(self, monkeypatch, sturm_passes, family):
         # every lockstep solve locates count transitions after its first pass
         rng = np.random.default_rng(40 + _FAMILIES.index(family))
         ms = self.grid_sections(rng, family, 100)
         tols, k = [default_bisect_tol(m) for m in ms], int(rng.integers(2, 21))
         want = [_lowest_alone(m, k, tol).tobytes() for m, tol in zip(ms, tols)]
-        slopes = self.located(monkeypatch)
+        self.located(monkeypatch, sturm_passes)
         self.check(ms, k, tols, want)
-        assert any(slopes)
+        assert any(p.slopes for p in sturm_passes)
 
-    def test_located_route_with_uneven_sections(self, monkeypatch):
+    def test_located_route_with_uneven_sections(self, monkeypatch, sturm_passes):
         # sections without targets, k above some counts and tolerances from
         # loose to stuck, as in test_sections_with_different_target_counts
         rng = np.random.default_rng(12)
@@ -309,10 +308,10 @@ class TestLockstep:
                 for m, w, t in zip(ms, windows, tols)]
         lo, hi = np.array(windows).T
         first, end = np.array([tridiag._sturm_counts(m, w) for m, w in zip(ms, windows)]).T
-        slopes = self.located(monkeypatch)
+        self.located(monkeypatch, sturm_passes)
         got = _bisect_sections(ms, lo, hi, first, np.minimum(end, first + k), tols)
         assert [g.tobytes() for g in got] == want
-        assert any(slopes)
+        assert any(p.slopes for p in sturm_passes)
 
     def test_stuck_brackets_bytes(self):
         # tol far below float spacing: every bracket ends stuck, not done
@@ -368,23 +367,28 @@ class TestLockstep:
         collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 100, 10)
         assert calls == [100] * len(grid)
 
-    def test_golden_grid_pass_count(self, monkeypatch):
-        # counts passes, not time: a solve per grid point took 236 here
-        calls = []
-        sturm_counts = tridiag._sturm_counts
-
-        def counting(m, lams, sizes=None, **kwargs):
-            calls.append(m)
-            return sturm_counts(m, lams, sizes, **kwargs)
-
-        monkeypatch.setattr(tridiag, "_sturm_counts", counting)
-        monkeypatch.setattr(spectra, "_sturm_counts", counting)
+    def test_golden_grid_pass_count(self, sturm_passes):
+        # counts passes, not time: a solve per grid point took 236 here; the
+        # window growth passes are counted too
         grid = np.round(np.arange(0.30, 0.495, 0.01), 2)
         scan = collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 400, 20)
         assert len(scan.spectra) == 20
-        assert len(calls) <= 40
+        assert len(sturm_passes) <= 40
+        assert len(sturm_passes) <= 17 and sum(p.slopes for p in sturm_passes) <= 8
+        assert sum(p.shifts for p in sturm_passes) <= 4_420
         # every pass of the solve gets its one stack of all 20 sections
-        assert all(m is calls[0] for m in calls) and len(calls[0]) == 20
+        stack = sturm_passes[0].stack
+        assert all(p.stack is stack for p in sturm_passes) and len(stack) == 20
+
+    def test_speculative_route_pass_count(self, sturm_passes, capsys):
+        # two grid points of 15 targets never price the located route: every
+        # pass counts the next levels of their brackets
+        argv = ["collapse", "--model", "two-photon", "--delta", "1",
+                "--grid", "0.30,0.35", "--cutoff", "300", "-k", "15"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert not any(p.slopes for p in sturm_passes)
+        assert len(sturm_passes) <= 14 and sum(p.shifts for p in sturm_passes) <= 3_674
 
     def test_golden_run_walk_steps(self, monkeypatch, capsys):
         # counts rows, not time: tail walks read 36,326 rows here before the
@@ -404,10 +408,10 @@ class TestLockstep:
         capsys.readouterr()
         assert steps and sum(steps) <= 12_000
 
-    def test_derived_arrays_once_per_section(self, monkeypatch):
+    def test_derived_arrays_once_per_section(self, monkeypatch, sturm_passes):
         # however many passes the solve takes, each section's squared couplings
         # and Gershgorin bounds are built once, and the stack's numpy rows once
-        built, passes = [], []
+        built = []
         for owner, name in ((SymTridiag, "_off_sq"), (SymTridiag, "_gershgorin"),
                             (tridiag._Stack, "numpy_rows")):
             derive = vars(owner)[name].func
@@ -419,20 +423,12 @@ class TestLockstep:
             prop = functools.cached_property(counting)
             prop.__set_name__(owner, name)
             monkeypatch.setattr(owner, name, prop)
-        sturm_counts = tridiag._sturm_counts
-
-        def counting_passes(m, lams, sizes=None, **kwargs):
-            passes.append(np.size(lams))
-            return sturm_counts(m, lams, sizes, **kwargs)
-
-        monkeypatch.setattr(tridiag, "_sturm_counts", counting_passes)
-        monkeypatch.setattr(spectra, "_sturm_counts", counting_passes)
         grid = [0.30, 0.35, 0.40, 0.45]
         collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, SectorLabel(1, 0), 200, 12)
-        assert len(passes) > 2 * len(grid)
+        assert len(sturm_passes) > 2 * len(grid)
         assert len(set(built)) == len(built) == 2 * len(grid) + 1
         # the one stack's numpy passes after the first reuse its rows
-        assert sum(p >= tridiag._SCALAR_MAX_SHIFTS for p in passes) > 1
+        assert sum(p.shifts >= tridiag._SCALAR_MAX_SHIFTS for p in sturm_passes) > 1
 
 
 class TestCollapseErrors:

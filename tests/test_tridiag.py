@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rabi_spectra import (
     IntensityDependent,
@@ -256,6 +256,8 @@ class TestEigenvaluesBisect:
             eigenvalues_bisect(m, tol=0.0)
         with pytest.raises(ValueError, match="tol"):
             eigenvalues_bisect(m, tol=-1e-3)
+        with pytest.raises(ValueError, match="tol"):
+            eigenvalues_bisect(m, tol=np.inf)
         with pytest.raises(ValueError, match="finite"):
             eigenvalues_bisect(m, window=(-np.inf, 0.0))
 
@@ -388,22 +390,17 @@ class TestSpeculativeBisection:
         with pytest.raises(ValueError, match="k must be at least 1"):
             eigenvalues_bisect(m, k=k)
 
-    def test_full_spectrum_pass_count(self, monkeypatch):
+    def test_full_spectrum_pass_count(self, sturm_passes):
         # counts passes, not time: the one-level loop takes 40 here, and a
         # derivative pass counts as one
-        calls = []
-
-        def counting(m, lams, sizes=None, **kwargs):
-            calls.append(kwargs.get("slopes", False))
-            return _sturm_counts(m, lams, sizes, **kwargs)
-
-        monkeypatch.setattr(tridiag, "_sturm_counts", counting)
         params = jacobi_params(TwoPhoton(g=0.3, delta=1.0), SectorLabel(1, 0))
         assert len(spectrum_scan(params, 1000)) == 1000
-        assert len(calls) <= 16
+        assert len(sturm_passes) <= 16
         # the located solve: the first pass, 8 derivative passes, a certifying
         # pass and one replay pass
-        assert sum(calls) <= 8 and len(calls) <= 12
+        derivative = sum(p.slopes for p in sturm_passes)
+        assert derivative <= 8 and len(sturm_passes) <= 12
+        assert sum(p.shifts for p in sturm_passes) <= 10_117
 
 
 class TestLocatedBisection:
@@ -415,17 +412,10 @@ class TestLocatedBisection:
     """
 
     @pytest.fixture(autouse=True)
-    def derivative_passes(self, monkeypatch):
-        passes = []
-
-        def counting(m, lams, sizes=None, **kwargs):
-            passes.append(kwargs.get("slopes", False))
-            return _sturm_counts(m, lams, sizes, **kwargs)
-
+    def derivative_passes(self, monkeypatch, sturm_passes):
         monkeypatch.setattr(tridiag, "_SLOPE_COST", -np.inf)
-        monkeypatch.setattr(tridiag, "_sturm_counts", counting)
-        yield passes
-        assert any(passes)
+        yield
+        assert any(p.slopes for p in sturm_passes)
 
     @pytest.mark.parametrize("n", [12, 20, 150])
     @pytest.mark.parametrize("make", [random_sym_tridiag, _integer_sym_tridiag])
@@ -477,6 +467,48 @@ def test_tighten_reads_each_count_transition():
     shifts, counts = np.array([[2.0, 0.0, 3.0, 1.0]]), np.array([[1, 0, 3, 1]])
     tridiag._tighten((low, high), np.zeros(3, dtype=int), np.arange(3), shifts, counts)
     assert low.tolist() == [0.0, 2.0, 2.0] and high.tolist() == [1.0, 3.0, 3.0]
+
+
+@given(st.integers(1, 4), st.integers(2, 12), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_tighten_keeps_each_transition_inside(sections, n, integer, seed):
+    # targets start at a valid (lo, hi]; passes at unordered shifts with
+    # duplicates and padding must keep count(A) <= i < count(B) and leave A
+    # and B the tightest shifts of their sides
+    rng = np.random.default_rng(seed)
+    make = _integer_sym_tridiag if integer else random_sym_tridiag
+    ms = [make(rng, n) for _ in range(sections)]
+    stack = tridiag._Stack(ms)
+    windows = np.sort(rng.integers(-12, 13, (sections, 2)), axis=1).astype(float)
+    if not integer:
+        windows = np.sort(rng.uniform(-6.0, 6.0, (sections, 2)), axis=1)
+    # some sections get a window below their spectrum, hence no targets
+    for g in np.flatnonzero(rng.random(sections) < 0.3):
+        windows[g] = ms[g].gershgorin()[0] - np.array([2.0, 1.0])
+    first, end = _sturm_counts(stack, windows).T
+    sec = np.repeat(np.arange(sections), end - first)
+    targets = np.concatenate([np.arange(a, b) for a, b in zip(first, end)])
+    assume(sec.size)
+    low, high = windows[sec, 0].copy(), windows[sec, 1].copy()
+    for _ in range(3):
+        width = int(rng.integers(1, 9))
+        rows = []
+        for lo, hi in windows:
+            pool = (np.arange(np.floor(lo) - 2.0, np.ceil(hi) + 2.5, 0.5) if integer
+                    else np.append(rng.uniform(lo - 1.0, hi + 1.0, 6), (lo, hi)))
+            row = rng.choice(pool, int(rng.integers(1, width + 1)))
+            rows.append(rng.permutation(np.append(row, [row[-1]] * (width - row.size))))
+        shifts = np.array(rows)
+        counts = _sturm_counts(stack, shifts)
+        want_low = [max([low[t]] + [x for x, c in zip(shifts[g], counts[g]) if c <= i])
+                    for t, (g, i) in enumerate(zip(sec, targets))]
+        want_high = [min([high[t]] + [x for x, c in zip(shifts[g], counts[g]) if c > i])
+                     for t, (g, i) in enumerate(zip(sec, targets))]
+        tridiag._tighten((low, high), sec, targets, shifts, counts)
+        assert low.tolist() == want_low and high.tolist() == want_high
+        for g, i, a, b in zip(sec, targets, low, high):
+            below_a, below_b = _sturm_counts(ms[g], [a, b])
+            assert below_a <= i < below_b
 
 
 def _reference_pivots(m, lams):
