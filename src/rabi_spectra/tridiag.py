@@ -9,7 +9,9 @@ workload; dense solvers are test oracles only), and Carleman partial sums
 strictly below each shift: an exact zero pivot is nudged positive
 (``_nudge``), which counts at lam - 0.  Its scalar and numpy paths, and a
 pass stacking equal-size sections, make for each shift the same IEEE
-operations in the same order, so their counts are identical.
+operations in the same order, so their counts are identical.  So do both
+paths of a derivative pass, which also carries the pivots' lam-derivatives;
+its slope differs between them only in the order of summation.
 
 A numpy pass stops at a block end once each section's tail is certified:
 the recurrence walked in Python floats at its largest shift from its
@@ -228,9 +230,12 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
 
     With ``slopes`` the pass also returns d/dlam log|det(T - lam)| = sum of
     d'_i / d_i of the section (of sizes[-1] rows) at each shift, shaped like
-    the counts of one stop.  It always runs as numpy, its derivative rows
-    sharing the block budget, and checks no tails; its pivots are the same
-    IEEE operations, so are its counts.
+    the counts of one stop.  Fewer than ``_SCALAR_MAX_SHIFTS`` shifts run as
+    Python-float loops beside the count loops, more as numpy with the
+    derivative rows sharing the block budget; neither checks tails.  Both
+    make the count pass's IEEE operations for the pivots, so its counts, and
+    the same ones for each ratio; the loops sum a slope row by row, numpy
+    block by block.
     """
     stacked = not isinstance(m, SymTridiag)
     stack = m if isinstance(m, _Stack) else _Stack(m if stacked else (m,))
@@ -261,6 +266,25 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
                             count += 1
                     counts[j, g, k] = count
                     start = stop
+    elif lams.size < _SCALAR_MAX_SHIFTS:
+        # the numpy derivative row loop's operations, one shift at a time
+        slope = np.empty(lams.shape)
+        for g, (diag_v, off_v) in enumerate(stack.views):
+            for k, lam in enumerate(lams[g].tolist()):
+                d, r, total, count, start = np.inf, 0.0, 0.0, 0, 0
+                for j, stop in enumerate(stops):
+                    for b, q in zip(diag_v[start:stop], off_v[start:stop]):
+                        t = q / d
+                        d = (b - lam) - t
+                        if d == 0.0:
+                            d = _nudge(b, lam)
+                        r = (t * r - 1.0) / d
+                        total += r
+                        if d < 0.0:
+                            count += 1
+                    counts[j, g, k] = count
+                    start = stop
+                slope[g, k] = total
     else:
         # a row of pivots is (G, S) and divides by a (G, 1) coupling column; one
         # section keeps 1-d rows and divides by Python floats, cheaper per row
@@ -497,6 +521,10 @@ def _newton_pays(ms, los, his, tols, sec) -> bool:
     passes with ``_NEWTON_SHIFTS`` shifts per target in all, each shift-step
     and row priced ``_SLOPE_COST`` times a count pass's, and a certifying
     pass with two shifts per target; its few other shifts are left out.
+    Derivative passes under ``_SCALAR_MAX_SHIFTS`` shifts (the Newton tail)
+    run as Python-float loops and cost less than this prices them.  The
+    price is left as it is on purpose: the golden ``collapse`` solve sits
+    at its margin, and a cheaper tail would move its route.
     """
     # a bracket is done at 2 tol and stuck at about eps |lam|
     spacing = np.maximum(2.0 * tols, _EPS * np.maximum(np.abs(los), np.abs(his)))

@@ -376,6 +376,8 @@ class TestLockstep:
         assert len(sturm_passes) <= 40
         assert len(sturm_passes) <= 17 and sum(p.slopes for p in sturm_passes) <= 8
         assert sum(p.shifts for p in sturm_passes) <= 4_420
+        # its least derivative pass has 20 stacked shifts and stays on numpy
+        assert not any(p.slopes and p.shifts < tridiag._SCALAR_MAX_SHIFTS for p in sturm_passes)
         # every pass of the solve gets its one stack of all 20 sections
         stack = sturm_passes[0].stack
         assert all(p.stack is stack for p in sturm_passes) and len(stack) == 20

@@ -401,6 +401,8 @@ class TestSpeculativeBisection:
         derivative = sum(p.slopes for p in sturm_passes)
         assert derivative <= 8 and len(sturm_passes) <= 12
         assert sum(p.shifts for p in sturm_passes) <= 10_117
+        # its Newton tail (3 and 1 shifts) runs on the Python-float loop
+        assert any(p.slopes and p.shifts < _SCALAR_MAX_SHIFTS for p in sturm_passes)
 
 
 class TestLocatedBisection:
@@ -662,6 +664,22 @@ def _assert_oracle_slopes(m, lams, slopes):
     assert np.all(err <= 1e-8 * np.abs(terms[away]).sum(axis=1))
 
 
+def _assert_same_ratio_sums(m, lams, slopes, other):
+    """Slopes that sum the same ratios d'_i / d_i in another order agree within 2 n eps sum |d'_i / d_i|.
+
+    An exact zero pivot, nudged, leaves ratios near +-1 / eps that cancel, so
+    only that scale bounds the difference.
+    """
+    pivots, off_sq = _reference_pivots(m, lams), np.concatenate(([0.0], m.offdiag**2))
+    prev, r, scale = np.inf, np.zeros(np.size(lams)), np.zeros(np.size(lams))
+    for q, d in zip(off_sq, pivots):
+        r = (q / prev * r - 1.0) / d
+        scale += np.abs(r)
+        prev = d
+    assert np.shape(slopes) == np.shape(other) == np.shape(lams)
+    assert np.all(np.abs(np.asarray(slopes) - other) <= 2 * m.n_max * tridiag._EPS * scale)
+
+
 class TestSlopePass:
     """A derivative pass counts as a count pass does and sums 1 / (lam - e).
 
@@ -678,7 +696,7 @@ class TestSlopePass:
             # diagonal entries and integers put zero pivots on inner rows
             lams = [*rng.uniform(lo - 1.0, hi + 1.0, size=30), *m.diag[:3],
                     *np.arange(np.floor(lo), np.ceil(hi) + 1.0)]
-            # a derivative pass always runs numpy; 5 shifts count on the scalar loop
+            # 5 shifts run on the Python-float loops, 30 and more on numpy
             for shifts in (lams[:5], lams):
                 counts, slopes = _sturm_counts(m, shifts, slopes=True)
                 assert counts.tolist() == _sturm_counts(m, shifts).tolist()
@@ -737,10 +755,57 @@ class TestSlopePass:
             tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
 
-    def test_subnormal_shift_warns_nothing(self):
+    @staticmethod
+    def both_paths(monkeypatch, *args, **kwargs):
+        """``_sturm_counts(..., slopes=True)`` on the numpy pass, then on the Python-float loop."""
+        out = []
+        for scalar_max in (1, 10**9):
+            monkeypatch.setattr(tridiag, "_SCALAR_MAX_SHIFTS", scalar_max)
+            out.append(_sturm_counts(*args, slopes=True, **kwargs))
+        return out
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sizes", [None, [1, 4, 8, 10, 15]])
+    def test_paths_agree(self, monkeypatch, seed, sizes):
+        # float, integer and _PIVOTS sections; shift 0 meets every zero pivot
+        # of the last, a diagonal entry nudges row 0
+        rng = np.random.default_rng(80 + seed)
+        for m in TestStackedPass.sections(rng, 15)[:3]:
+            lo, hi = m.gershgorin()
+            lams = np.array([0.0, 1.0, *m.diag[:3], *rng.uniform(lo - 1.0, hi + 1.0, size=25)])
+            (counts, slopes), (loop_counts, loop_slopes) = self.both_paths(monkeypatch, m, lams, sizes)
+            assert loop_counts.tolist() == counts.tolist() == _reference_counts(m, lams, sizes).tolist()
+            # the paths sum the same ratios, blockwise against one at a time
+            _assert_same_ratio_sums(m, lams, loop_slopes, slopes)
+            # the uniform shifts meet no zero pivot, whose nudge costs the slope its accuracy
+            for s in (slopes, loop_slopes):
+                _assert_oracle_slopes(m, lams[5:], s[5:])
+
+    @pytest.mark.parametrize("sizes", [None, [1, 4, 8, 10, 15]])
+    def test_paths_agree_on_a_small_stack(self, monkeypatch, sizes):
+        # 4 sections x 4 shifts, fewer than _SCALAR_MAX_SHIFTS in all
+        rng = np.random.default_rng(90)
+        ms = TestStackedPass.sections(rng, 15)
+        lams = np.stack([[0.0, *rng.uniform(*m.gershgorin(), size=3)] for m in ms])
+        assert lams.size < _SCALAR_MAX_SHIFTS
+        (counts, slopes), (loop_counts, loop_slopes) = self.both_paths(monkeypatch, ms, lams, sizes)
+        alone = [_reference_counts(m, row, sizes) for m, row in zip(ms, lams)]
+        assert loop_counts.tolist() == counts.tolist() == np.stack(alone, axis=-2).tolist()
+        assert loop_slopes.shape == slopes.shape == lams.shape
+        for m, row, s, loop_s in zip(ms, lams, slopes, loop_slopes):
+            _assert_same_ratio_sums(m, row, loop_s, s)
+            # shift 0 meets zero pivots of the integer and _PIVOTS sections
+            _assert_oracle_slopes(m, row[1:], s[1:])
+            _assert_oracle_slopes(m, row[1:], loop_s[1:])
+
+    # 1 sends the pass to numpy, 10**9 to the Python-float loop, where a
+    # missed nudge would raise ZeroDivisionError
+    @pytest.mark.parametrize("scalar_max", [1, 10**9])
+    def test_subnormal_shift_warns_nothing(self, monkeypatch, scalar_max):
         # a shift a subnormal step above the eigenvalue 0 overflows q / d
         m = SymTridiag(diag=[0.0, 0.0, 0.0], offdiag=[1.0, 1.0])
         lam = 5e-324
+        monkeypatch.setattr(tridiag, "_SCALAR_MAX_SHIFTS", scalar_max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             counts, _ = _sturm_counts(m, [lam], slopes=True)
