@@ -245,8 +245,9 @@ def _emit(meta: dict, header: list[str], rows: list[list], args: argparse.Namesp
         buf.write(f"# {meta_line}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        # rows hold plain Python values: csv writes a float by repr and None
+        # as "", as _cell does
+        writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -303,8 +304,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     for sector in _select_sectors(model, args.sector):
         params = jacobi_params(model, sector)
         spec = spectrum_scan(params, args.cutoff, window=window, tol=args.tol)
-        for i, ev in enumerate(spec.eigenvalues):
-            rows.append([model.name, str(sector), i, float(ev)])
+        label = str(sector)
+        rows += ([model.name, label, i, ev] for i, ev in enumerate(spec.eigenvalues.tolist()))
     meta = {"command": "spectrum", **_model_meta(model), "cutoff": args.cutoff}
     if window is not None:
         meta.update(window_lo=window[0], window_hi=window[1])

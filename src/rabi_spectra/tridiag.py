@@ -18,12 +18,7 @@ the recurrence walked in Python floats at its largest shift from its
 least carried pivot (``_pivot_floor``) stays positive to the stop row.
 Rounded (b - lam) - q / d is nondecreasing in d > 0 and nonincreasing in
 lam, so every shift's pivot stays at or above the walk's and no later
-count changes.  Every pass of a solve gets the solve's whole ``_Stack``,
-which keeps each section's last certifying walk, from row s0 at shift L0
-with bounds P[0] (the least carried pivot), P[1], ....  A later pass to
-the same stop whose block end s >= s0 has a largest shift <= L0 and a
-least carried pivot >= P[s - s0] is certified with no walk: from there
-each pivot stays >= P[s - s0 + 1], ..., which the walk proved positive.
+count changes.
 
 Bisection keeps the bits of the one-level loop, which counts at every
 bracket's midpoint, by one rule.  Counts are monotone in the shift, so for
@@ -33,9 +28,14 @@ takes narrows an interval (A, B] around each tau_i, where count(A) <= i <
 count(B): a midpoint >= B goes down and one <= A goes up, as the one-level
 loop would send it.  Only a midpoint inside (A, B) takes a pass, which
 counts the next levels below every distinct bracket or, once a solve that
-``_newton_pays`` for has located each tau_i by Newton passes on
+``_newton_pays`` for has located each tau_i by derivative passes on
 det(T - lam) and certified it by a count either side, the midpoints the
-remaining levels may still meet inside (A, B).
+remaining levels may still meet inside (A, B).  A derivative pass steps
+each iterate by the secular-equation fit psi ~ 1 / (lam - mu) + c through
+it and the target's previous iterate (``_secular_step``), or by Newton's
+step where there is none or the fit fails; either way the located bounds
+only choose which midpoints to count, so the bytes stay the one-level
+loop's.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -58,9 +58,9 @@ _NUMPY_ROW_STEPS = 1200
 # elements of one numpy block of rows x shifts (256 KB of float64)
 _BLOCK_ELEMS = 1 << 15
 
-# derivative passes of a located solve and their shifts per target (measured
-# on full 1000-row spectra; CHANGES.md), and the most passes it takes
-_NEWTON_PASSES = 9
+# derivative passes of a located solve and their shifts per target (medians
+# 6.5 and 3.65 on full 1000-row spectra; CHANGES.md), and the most passes it takes
+_NEWTON_PASSES = 7
 _NEWTON_SHIFTS = 4
 _NEWTON_MAX_PASSES = 12
 
@@ -161,39 +161,17 @@ class TruncatedSpectrum:
         return int(self.eigenvalues.size)
 
 
-class _Certificate(NamedTuple):
-    """A walk that certified a section's rows ``start`` to ``stop`` at shift ``lam``.
-
-    ``bounds[0]`` is its least carried pivot, ``bounds[i]`` its positive bound on row start + i - 1.
-    """
-
-    start: int
-    stop: int
-    lam: float
-    bounds: list
-
-    def covers(self, start: int, stop: int, floor: float, lam: float) -> bool:
-        """Whether this walk certifies the section again at row ``start`` of a pass to ``stop``.
-
-        ``floor`` is the pass's least carried pivot and ``lam`` its largest shift; an
-        earlier row, another stop, a larger shift, a lower pivot, NaN or inf refuse.
-        """
-        return (stop == self.stop and self.start <= start <= stop and -np.inf < lam <= self.lam
-                and self.bounds[start - self.start] <= floor < np.inf)
-
-
 class _Stack(tuple):
     """The tuple of equal-size sections that every Sturm pass of one solve counts.
 
-    It keeps what the passes would rebuild: memoryviews of each section's rows,
-    ``numpy_rows`` and ``certificates``, each section's last certifying walk or None.
+    It keeps what the passes would rebuild: memoryviews of each section's rows
+    and ``numpy_rows``.
     """
 
     def __new__(cls, sections):
         stack = super().__new__(cls, sections)
         # memoryviews yield Python floats without a list copy of the section
         stack.views = [(memoryview(s.diag), memoryview(s._off_sq)) for s in stack]
-        stack.certificates = [None] * len(stack)
         return stack
 
     @functools.cached_property
@@ -217,8 +195,8 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
 
     Runs the LDL^T recurrence d_i = (diag_i - lam) - off_(i-1)^2 / d_(i-1) and
     counts the negative d_i.  ``m`` is one section with a 1-d ``lams``, or G
-    sections of equal size (the solve's ``_Stack`` keeps rows and
-    certificates across passes) with ``lams`` of shape (G, S), one row per
+    sections of equal size (the solve's ``_Stack`` keeps their rows across
+    passes) with ``lams`` of shape (G, S), one row per
     section; the result then gains a section axis.  With ``sizes`` (strictly
     increasing in [1, n_max]) row j counts the leading sizes[j] x sizes[j] section.
     Fewer than ``_SCALAR_MAX_SHIFTS`` shifts run as Python-float loops, more
@@ -363,21 +341,14 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
                     ):
                         while uncertified:
                             g = uncertified.pop()
-                            floor, lam = carries[g].min().item(), lams.item(tops[g])
-                            kept = stack.certificates[g]
-                            if kept is not None and kept.covers(start, n, floor, lam):
-                                continue
                             diag_v, off_v = stack.views[g]
-                            bounds = [floor]
-                            walked, bound = _pivot_floor(
-                                zip(diag_v[start:n], off_v[start:n]), floor, lam, bounds
-                            )
+                            walked, bound = _pivot_floor(zip(diag_v[start:n], off_v[start:n]),
+                                                         carries[g].min().item(), lams.item(tops[g]))
                             if not 0.0 < bound < np.inf:
                                 # checked again, and first, once past the failing row
                                 retry[g] = start + walked
                                 uncertified.append(g)
                                 break
-                            stack.certificates[g] = _Certificate(start, n, lam, bounds)
                         else:
                             start = n  # every count stays as it is
                 counts[j] = count
@@ -387,24 +358,22 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
     return (counts, slope.reshape(lams.shape if stacked else -1)) if slopes else counts
 
 
-def _pivot_floor(rows, d, lam, bounds=None):
+def _pivot_floor(rows, d, lam):
     """Walk a lower bound on the pivots of every shift <= ``lam`` over ``rows``.
 
     ``rows`` yields (diag_i, off_(i-1)^2) after the carried pivots, whose least
     is ``d``.  Stops at the first bound (``d`` included) that is not positive
-    and finite, appending each bound walked to ``bounds``; returns the rows
-    walked and the last bound.
+    and finite; returns the rows walked and the last bound.
     """
-    bounds = [] if bounds is None else bounds
-    before = len(bounds)
-    if 0.0 < d < np.inf:
-        append = bounds.append
+    # a local inf: the loop is the walk's whole cost, and np.inf is two lookups a row
+    walked, inf = 0, math.inf
+    if 0.0 < d < inf:
         for b, q in rows:
             d = (b - lam) - q / d
-            append(d)
-            if not 0.0 < d < np.inf:
+            walked += 1
+            if not 0.0 < d < inf:
                 break
-    return len(bounds) - before, d
+    return walked, d
 
 
 def _nudge(b, lam):
@@ -539,13 +508,19 @@ def _locate(ms, los, his, bounds, sec, targets, tols, active):
 
     tau_i is the least float whose count reaches target i + 1; after the
     first pass (A, B] is the bracket (los, his].  A speculative pass splits
-    the brackets ``active`` targets still share.  Safeguarded Newton passes
-    on det(T - lam) then approach each tau_i, and once every iterate has
-    settled a count pass at delta = tols / 100 (at least two float spacings)
-    either side of each certifies it: (A, B] shrinks to about 2 delta.  An
-    iterate that fails iterates again, within ``_NEWTON_MAX_PASSES``
-    derivative passes in all.  Every count narrows every target's bounds
-    (``_tighten``).
+    the brackets ``active`` targets still share.  Safeguarded derivative
+    passes on det(T - lam) then approach each tau_i: the first steps by
+    Newton, each later one by the rational fit through the target's previous
+    iterate (``_secular_step``), which falls back to Newton's step where the
+    fit fails.  A step counts only toward tau_i and inside (A, B), else the
+    iterate falls back to (A, B)'s midpoint.  Once every iterate has settled
+    a count pass at delta = tols / 100 (at least two float spacings) either
+    side of each certifies it: (A, B] shrinks to about 2 delta.  An iterate
+    that fails iterates again, from Newton's step, within
+    ``_NEWTON_MAX_PASSES`` derivative passes in all.  Every count narrows
+    every target's bounds (``_tighten``).  On the full 1000-row spectra of
+    the Rabi models this takes 5-8 derivative passes (median 6.5), where
+    Newton's step alone took 7-12.
     """
     low, high = bounds
     same = (los[1:] == los[:-1]) & (his[1:] == his[:-1]) & (sec[1:] == sec[:-1])
@@ -556,6 +531,8 @@ def _locate(ms, los, his, bounds, sec, targets, tols, active):
     # x +- delta must be distinct floats
     delta = np.maximum(1e-2 * tols, 2.0 * _EPS * np.maximum(np.abs(los), np.abs(his)))
     x, last = 0.5 * (low + high), np.full(sec.size, np.nan)
+    # each target's previous iterate and its slope; NaN until it has one
+    x_prev, psi_prev = np.full(sec.size, np.nan), np.full(sec.size, np.nan)
     # (A, B] of width up to 3 delta counts as certified: x +- delta round
     go = active & (high - low > 3.0 * delta)
     newton, passes = go.copy(), 0
@@ -568,7 +545,9 @@ def _locate(ms, los, his, bounds, sec, targets, tols, active):
             _tighten(bounds, sec, targets, shifts, counts)
             # a slope of 0, inf or NaN gives a step whose iterate falls back below
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                step = 1.0 / slopes[sec[idx], col]
+                psi = slopes[sec[idx], col]
+                step = _secular_step(x[idx], psi, x_prev[idx], psi_prev[idx])
+                x_prev[idx], psi_prev[idx] = x[idx], psi
                 # an iterate heads for tau_i only from a count of i (upward) or i + 1
                 over = counts[sec[idx], col] - targets[idx]
                 toward = ((over == 0) & (step <= 0.0)) | ((over == 1) & (step >= 0.0))
@@ -593,8 +572,34 @@ def _locate(ms, los, his, bounds, sec, targets, tols, active):
                 break
             newton = go.copy()
             last.fill(np.nan)
+            x_prev.fill(np.nan)
         go &= high - low > 3.0 * delta
         newton &= go
+
+
+def _secular_step(x, psi, x_prev, psi_prev):
+    """Each iterate's step (x - step is the next), from its slope and the previous iterate's.
+
+    ``psi`` = d/dlam log|det(T - lam)| = sum_j 1 / (lam - lam_j) at ``x``.
+    Newton's step 1 / psi models psi by its nearest pole alone; the fit
+    psi ~ 1 / (lam - mu) + c through both iterates (Bunch, Nielsen &
+    Sorensen 1978; R.-C. Li, LAPACK Working Note 89, as in ``dlaed4``)
+    steps to mu.  With h = x_prev - x and D = psi_prev - psi, u = psi_prev - c
+    solves h u^2 - h D u + D = 0; the root nearer psi_prev gives the step
+    1 / (u - D).  Newton's step stands where there is no previous iterate
+    (NaN), the discriminant is not positive, or the fitted step is not
+    finite or has another sign.
+    """
+    newton = 1.0 / psi
+    h, dpsi = x_prev - x, psi_prev - psi
+    hd = h * dpsi
+    disc = hd * (hd - 4.0)
+    # both roots without cancellation: q / h, and D / q since their product is D / h
+    q = 0.5 * (hd + np.copysign(np.sqrt(disc), hd))
+    one, other = q / h, dpsi / q
+    u = np.where(np.abs(one - psi_prev) <= np.abs(other - psi_prev), one, other)
+    fit = 1.0 / (u - dpsi)
+    return np.where((disc > 0.0) & np.isfinite(fit) & (fit * newton > 0.0), fit, newton)
 
 
 def _replay_shifts(sections, los, his, low, high, tols, sec):
