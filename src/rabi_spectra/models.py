@@ -37,6 +37,7 @@ from .modulation import (
     PhaseReport,
     edge_indicator,
     essential_halfline,
+    exact_edge_indicator,
     limit_sequences,
     monodromy,
 )
@@ -54,9 +55,10 @@ class DegenerateParameterError(ValueError):
 class IndicatorMismatchError(RuntimeError):
     """The indicator's half-line disagrees with the closed form beyond its tolerance.
 
-    Both derive from the same modulation data, so float64 cannot confirm the
-    closed form at these parameters: the indicator sums terms that cancel,
-    as for the anisotropic model at |g'| = 1/2 from a mean coupling of 1e4 up.
+    Both derive from the same modulation data, and neither the float
+    indicator nor its exact sum over that data confirms the closed form at
+    these parameters: the float data has lost it, as for the two-photon
+    model in sectors mu = 1 at |delta| of 1e100.
     """
 
 
@@ -509,15 +511,18 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     """Spectral phase of one sector from the symbolic regime conditions.
 
     In critical regimes the essential half-line is computed from the edge
-    indicator polynomial and cross-checked against the closed-form endpoint;
-    a disagreement beyond 1e-9 relative to the largest correction limit
-    |r_i| (at least 1) raises, since both derive from the same modulation
-    data.  The indicator sums terms of the size of r, which grows with delta
-    and kappa, so its rounding error does too even where the endpoint stays
-    small (anisotropic: endpoint -1/2, error about 1e-17 delta).  The
-    tolerance is capped at 1e-6 relative to the closed-form endpoint (at
-    least 1), so that a huge delta cannot pass any endpoint.  The error
-    raised is ``IndicatorMismatchError``, a RuntimeError.
+    indicator polynomial and cross-checked against the closed-form endpoint
+    within 1e-9 relative to the largest correction limit |r_i| (at least 1),
+    since both derive from the same modulation data.  The indicator sums
+    terms of the size of r, which grows with delta and kappa, so its
+    rounding error does too even where the endpoint stays small
+    (anisotropic: endpoint -1/2, error about 1e-17 delta).  The tolerance is
+    capped at 1e-6 relative to the closed-form endpoint (at least 1), so
+    that a huge delta cannot pass any endpoint.  Where the float indicator
+    fails the check, it is summed again exactly over the same float data
+    (``exact_edge_indicator``), which keeps the anisotropic endpoint at
+    large mean couplings; if that fails too, ``IndicatorMismatchError`` (a
+    RuntimeError) is raised.
     """
     params = jacobi_params(model, sector)
     clause, kind, closed, trace = model.regime()
@@ -529,7 +534,14 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     indicator = edge_indicator(params.modulation, mono, s, r)
     halfline = essential_halfline(indicator)
     tol = min(1e-9 * max(1.0, float(np.max(np.abs(r)))), 1e-6 * max(1.0, abs(closed.endpoint)))
-    if halfline.direction != closed.direction or abs(halfline.endpoint - closed.endpoint) > tol:
+
+    def disagrees(h: HalfLine) -> bool:
+        return h.direction != closed.direction or abs(h.endpoint - closed.endpoint) > tol
+
+    if disagrees(halfline):
+        # the float sum may have cancelled: sum it exactly over the same data
+        indicator, halfline = exact_edge_indicator(params.modulation, mono)
+    if disagrees(halfline):
         raise IndicatorMismatchError(
             f"indicator half-line {halfline} disagrees with the closed form {closed} "
             f"for {model.name} sector {sector}"

@@ -295,6 +295,44 @@ def essential_halfline(indicator: EdgeIndicator) -> HalfLine:
     return HalfLine(float(endpoint), "up" if indicator.c1 < 0 else "down")
 
 
+def exact_edge_indicator(mod: PeriodicModulation, mono: Monodromy) -> tuple[EdgeIndicator, HalfLine]:
+    """``edge_indicator`` at the limits of ``limit_sequences``, and its half-line, summed exactly.
+
+    The monodromies, limits and sums run in ``Fraction`` over the float
+    alpha, beta, gamma, t and s, so only the coefficients, the terms and the
+    endpoint -c0/c1 are rounded, each once.  Where the float sum cancels
+    (the anisotropic model at a mean coupling of 1e6 and up) this keeps the
+    endpoint; what the float data itself lost stays lost.
+    """
+    # imported here: only a failed float check comes here, and the import
+    # (decimal with it) would add about 4 ms to every start-up
+    from fractions import Fraction
+
+    if classify(mono) is not PhaseKind.CRITICAL_HALF_LINE:
+        raise PhaseStateError("edge indicator is defined only in the critical phase")
+    eps, N = mono.trace_sign, mod.period
+    alpha, beta, gamma = ([Fraction(x) for x in v.tolist()] for v in (mod.alpha, mod.beta, mod.gamma))
+    half_ts = (Fraction(mod.t) + Fraction(mod.s)) / 2
+    terms = []
+    for i in range(N):
+        # the cyclic monodromy from step i; each transfer matrix has first row (0, 1)
+        x = ((1, 0), (0, 1))
+        for n in range(i, i + N):
+            t10, t11 = -alpha[(n - 1) % N] / alpha[n % N], -beta[n % N] / alpha[n % N]
+            x = (x[1], (t10 * x[0][0] + t11 * x[1][0], t10 * x[0][1] + t11 * x[1][1]))
+        a_prev = alpha[(i - 1) % N]
+        # s_i = alpha_(i-1), so s_i / alpha_(i-1) = 1; r_i = (beta_i / 2)(t + s) - gamma_i
+        r = beta[i] * half_ts - gamma[i]
+        terms.append((-eps * x[1][0] / a_prev, (1 - eps * x[0][0]) - eps * (r / a_prev) * x[1][0]))
+    c1, c0 = sum(t for t, _ in terms), sum(c for _, c in terms)
+    if c1 == 0:
+        raise DegenerateIndicatorError(
+            "indicator polynomial has zero slope; its negativity set is not a half-line"
+        )
+    indicator = EdgeIndicator(float(c1), float(c0), tuple((float(t), float(c)) for t, c in terms))
+    return indicator, HalfLine(float(-c0 / c1), "up" if c1 < 0 else "down")
+
+
 @dataclass(frozen=True)
 class PhaseReport:
     """Classification outcome for one Jacobi operator.

@@ -7,11 +7,12 @@ workload; dense solvers are test oracles only), and Carleman partial sums
 
 ``_sturm_counts`` is the one Sturm recurrence.  It counts eigenvalues
 strictly below each shift: an exact zero pivot is nudged positive
-(``_nudge``), which counts at lam - 0.  Its scalar and numpy paths, and a
-pass stacking equal-size sections, make for each shift the same IEEE
-operations in the same order, so their counts are identical.  So do both
-paths of a derivative pass, which also carries the pivots' lam-derivatives;
-its slope differs between them only in the order of summation.
+(``_nudge``), which counts at lam - 0.  Its scalar path, which steps three
+shifts per row loop, its numpy path and a pass stacking equal-size
+sections make for each shift the same IEEE operations in the same order,
+so their counts are identical.  So do both paths of a derivative pass,
+which also carries the pivots' lam-derivatives; its slope differs between
+them only in the order of summation.
 
 A numpy pass stops at a block end once each section's tail is certified:
 the recurrence walked in Python floats at its largest shift from its
@@ -199,7 +200,10 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
     passes) with ``lams`` of shape (G, S), one row per
     section; the result then gains a section axis.  With ``sizes`` (strictly
     increasing in [1, n_max]) row j counts the leading sizes[j] x sizes[j] section.
-    Fewer than ``_SCALAR_MAX_SHIFTS`` shifts run as Python-float loops, more
+    Fewer than ``_SCALAR_MAX_SHIFTS`` shifts run as Python-float loops, each
+    stepping three of a section's shifts per row (one or two left over run
+    one at a time) and testing the row's pivots once for a sign <= 0 before
+    nudging or counting any; more run
     as one numpy pass over blocks of ``_BLOCK_ELEMS // lams.size`` rows, none
     crossing a ``sizes`` stop.  At a block end the first zero-pivot row is
     nudged and the rows after it are stepped again, and tails are checked
@@ -233,8 +237,36 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
     counts = np.empty((len(stops), *lams.shape), dtype=np.int64)
     if lams.size < _SCALAR_MAX_SHIFTS and not slopes:
         for g, (diag_v, off_v) in enumerate(stack.views):
-            for k, lam in enumerate(lams[g].tolist()):
-                d, count, start = np.inf, 0, 0
+            row = lams[g].tolist()
+            trio = len(row) - len(row) % 3
+            # three lanes per row loop, each making the one-shift loop's operations
+            for k in range(0, trio, 3):
+                l0, l1, l2 = row[k : k + 3]
+                d0 = d1 = d2 = np.inf
+                c0 = c1 = c2 = start = 0
+                for j, stop in enumerate(stops):
+                    for b, q in zip(diag_v[start:stop], off_v[start:stop]):
+                        d0 = (b - l0) - q / d0
+                        d1 = (b - l1) - q / d1
+                        d2 = (b - l2) - q / d2
+                        # a nudged pivot is positive; NaN neither nudges nor counts
+                        if d0 <= 0.0 or d1 <= 0.0 or d2 <= 0.0:
+                            if d0 == 0.0:
+                                d0 = _nudge(b, l0)
+                            elif d0 < 0.0:
+                                c0 += 1
+                            if d1 == 0.0:
+                                d1 = _nudge(b, l1)
+                            elif d1 < 0.0:
+                                c1 += 1
+                            if d2 == 0.0:
+                                d2 = _nudge(b, l2)
+                            elif d2 < 0.0:
+                                c2 += 1
+                    counts[j, g, k : k + 3] = c0, c1, c2
+                    start = stop
+            for k in range(trio, len(row)):
+                lam, d, count, start = row[k], np.inf, 0, 0
                 for j, stop in enumerate(stops):
                     for b, q in zip(diag_v[start:stop], off_v[start:stop]):
                         d = (b - lam) - q / d
@@ -655,7 +687,12 @@ def _tighten(bounds, sec, targets, shifts, counts):
 def _pass_cost(shifts: int) -> float:
     """Per-row cost of a count pass in shift-steps: ``_NUMPY_ROW_STEPS`` plus
     one step per shift on numpy, a scalar step (priced so that the paths tie
-    at ``_SCALAR_MAX_SHIFTS``) per shift below it."""
+    at ``_SCALAR_MAX_SHIFTS``) per shift below it.
+
+    The scalar price is that of one shift at a time, so it overstates passes
+    of three or more shifts, which step three per row loop.  It is left as it
+    is on purpose: a cheaper price would move routes and speculative depths.
+    """
     if shifts < _SCALAR_MAX_SHIFTS:
         return shifts * (_NUMPY_ROW_STEPS + _SCALAR_MAX_SHIFTS) / _SCALAR_MAX_SHIFTS
     return _NUMPY_ROW_STEPS + shifts

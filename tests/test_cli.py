@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabi_spectra import SectorLabel, TwoPhoton, cli, predicted_phase, sectors
+from rabi_spectra import SectorLabel, TwoPhoton, cli, models, modulation, predicted_phase, sectors
 from test_cli_golden import run_main
 
 DATA = Path(__file__).parent / "data"
@@ -185,20 +185,47 @@ class TestExitCodesAndDeterminism:
         assert cp.returncode == 2
         assert "kappa = 0" in cp.stderr
 
-    def test_unconfirmed_closed_form_is_exit_two(self):
-        # float64 cannot confirm the anisotropic edge at a mean coupling of 1e6:
-        # one regime-error line, no traceback and no table
+    def test_cancelled_indicator_is_summed_exactly(self):
+        # the float indicator loses the anisotropic edge to cancellation at a
+        # mean coupling of 1e6; its exact sum restores the closed form's -1/2
         cp = run_cli("classify", "--model", "anisotropic", "--g-plus", "1000000.5",
                      "--g-minus", "999999.5", "--delta", "1")
-        assert cp.returncode == 2
-        assert cp.stdout == ""
-        assert cp.stderr.startswith("rabi-spectra: regime error: indicator half-line")
-        assert len(cp.stderr.splitlines()) == 1
+        assert cp.returncode == 0, cp.stderr
+        rows = parse_csv(cp.stdout)
+        assert [r["sector"] for r in rows] == ["0-", "0+", "1-", "1+"]
+        for row in rows:
+            assert row["kind"] == "critical-half-line"
+            assert float(row["endpoint"]) == -0.5
+            assert row["direction"] == "down"
+
+    def test_unconfirmed_closed_form_is_exit_two(self, monkeypatch):
+        # an indicator that neither the float nor the exact sum confirms: one
+        # regime-error line, no traceback and no table
+        float_sum, exact_sum, exact_calls = models.edge_indicator, models.exact_edge_indicator, []
+
+        def shifted(indicator):
+            # the endpoint -c0 / c1 moves down by 1
+            return modulation.EdgeIndicator(indicator.c1, indicator.c0 + indicator.c1)
+
+        def exact_shifted(*args):
+            exact_calls.append(args)
+            indicator = shifted(exact_sum(*args)[0])
+            return indicator, modulation.essential_halfline(indicator)
+
+        monkeypatch.setattr(models, "edge_indicator", lambda *args: shifted(float_sum(*args)))
+        monkeypatch.setattr(models, "exact_edge_indicator", exact_shifted)
+        code, out, err = run_main(["classify", "--model", "two-photon", "--g", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("rabi-spectra: regime error: indicator half-line")
+        assert len(err.splitlines()) == 1
+        assert len(exact_calls) == 1
 
     @pytest.mark.parametrize("delta", ["1e100", "1e308"])
     def test_indicator_lost_at_huge_delta_is_exit_two(self, delta):
-        # the indicator's rounding error grows with delta until its endpoint
-        # reads 0.0; the closed form's -1/2 is not confirmed, so nothing prints
+        # the float indicator's endpoint reads 0.0; summed exactly it gives
+        # -3/2 in sectors mu = 1, whose gamma (+-delta/2 + 1) rounds to
+        # +-delta/2, so the closed form's -1/2 is not confirmed and nothing prints
         cp = run_cli("classify", "--model", "two-photon", "--g", "critical", "--delta", delta)
         assert cp.returncode == 2
         assert cp.stdout == ""

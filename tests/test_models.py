@@ -28,6 +28,7 @@ from rabi_spectra import (
     sector_basis_index,
     sectors,
 )
+from rabi_spectra.modulation import exact_edge_indicator
 
 ALL_SECTOR_LABELS = {
     "intensity": ("-", "+"),
@@ -457,20 +458,31 @@ class TestPredictedPhase:
                 assert hl.direction == direction
                 assert hl.endpoint == pytest.approx(endpoint, rel=1e-12, abs=1e-12 * max(1.0, scale))
 
-    # the indicator's endpoint drifts from -1/2 as the mean coupling grows
-    # (error about 1e-4 at mean 1e6, 110 at 1e9) and predicted_phase raises
-    _DRIFTS = pytest.mark.xfail(raises=RuntimeError, strict=True,
-                                reason="indicator endpoint loses accuracy at large mean coupling")
-
-    @pytest.mark.parametrize(
-        "scale", [1e-6, 1e-3, 1.0, 1e3, pytest.param(1e6, marks=_DRIFTS), pytest.param(1e9, marks=_DRIFTS)]
-    )
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
     def test_anisotropic_critical_points_at_scaled_mean(self, scale):
         # |g'| = 1/2 with the smaller coupling from 1e-6 to 1e9 (positive
-        # couplings keep the mean above 1/2)
+        # couplings keep the mean above 1/2); the float indicator's endpoint
+        # drifts from -1/2 from a mean of 1e6 (by about 1e-4 there, 110 at
+        # 1e9), and its exact sum restores it
         cases = [(AnisotropicTwoPhoton(g_plus=scale + 1.0, g_minus=scale, delta=1.0), -0.5, "down"),
                  (AnisotropicTwoPhoton(g_plus=scale, g_minus=scale + 1.0, delta=1.0), -0.5, "down")]
         self.check_critical(cases, scale)
+
+    def test_exact_indicator_agrees_where_the_float_one_is_confirmed(self):
+        for model in (TwoPhoton(g=0.5, delta=1.3), IntensityDependent(g=0.5, delta=0.7, kappa=1.5),
+                      AnisotropicTwoPhoton(g_plus=0.8, g_minus=0.2, delta=2.0),
+                      AnisotropicTwoPhoton(g_plus=0.3, g_minus=1.3, delta=-1.0),
+                      TwoPhotonRabiStark(g=0.4, delta=1.0, kappa=0.6),
+                      TwoPhotonRabiStark(g=0.7, delta=2.0, kappa=-1.0)):
+            for sector in sectors(model):
+                report = predicted_phase(model, sector)
+                mono = monodromy(jacobi_params(model, sector).modulation,
+                                 critical_trace=critical_trace(model))
+                indicator, halfline = exact_edge_indicator(jacobi_params(model, sector).modulation, mono)
+                assert halfline.direction == report.essential_spectrum.direction
+                assert halfline.endpoint == pytest.approx(report.essential_spectrum.endpoint, rel=1e-12, abs=1e-12)
+                assert (indicator.c1, indicator.c0) == pytest.approx(
+                    (report.indicator.c1, report.indicator.c0), rel=1e-12, abs=1e-12)
 
     def test_kappa_zero_propagates_degeneracy(self):
         with pytest.raises(DegenerateParameterError):

@@ -151,6 +151,35 @@ class TestEdgeDensity:
         assert ladder.essential_counts == tuple(s.essential_counts[0] for s in singles)
         assert ladder.complementary_counts == tuple(s.complementary_counts[0] for s in singles)
 
+    @pytest.mark.parametrize(
+        "model, sector",
+        [
+            (TwoPhoton(g=0.5, delta=1.0), SectorLabel(1, 0)),
+            (IntensityDependent(g=0.5, delta=1.0, kappa=1.0), SectorLabel(-1)),
+            (AnisotropicTwoPhoton(g_plus=0.8, g_minus=0.2, delta=1.0), SectorLabel(-1, 1)),
+            (AnisotropicTwoPhoton(g_plus=1.3, g_minus=0.3, delta=1.0), SectorLabel(1, 1)),
+            (TwoPhotonRabiStark(g=0.4, delta=1.0, kappa=0.6), SectorLabel(-1, 0)),
+            (TwoPhotonRabiStark(g=0.7, delta=1.0, kappa=-1.0), SectorLabel(1, 0)),
+        ],
+    )
+    def test_bench_ladder_counts_equal_the_numpy_path(self, monkeypatch, model, sector):
+        # the critical half-lines of the edge benchmark at its cutoffs: the
+        # three-shift scalar pass counts as a numpy pass over the same section
+        cutoffs, W = (10_000, 20_000), 5.0
+        params, report = jacobi_params(model, sector), predicted_phase(model, sector)
+        density = edge_density(params, report, cutoffs, W)
+        ep = density.endpoint
+        with monkeypatch.context() as patched:
+            patched.setattr(tridiag, "_SCALAR_MAX_SHIFTS", 1)
+            below, at, above = tridiag._sturm_counts(
+                params.truncation(cutoffs[-1]), [ep - W, ep, ep + W], sizes=cutoffs
+            ).T
+        lower, upper = tuple((at - below).tolist()), tuple((above - at).tolist())
+        want = (upper, lower) if density.direction == "up" else (lower, upper)
+        assert (density.essential_counts, density.complementary_counts) == want
+        empty = edge_density(params, report, cutoffs, 0.0)
+        assert empty.essential_counts == empty.complementary_counts == (0, 0)
+
     def test_zero_width_windows_are_empty(self):
         model = TwoPhoton(g=0.5, delta=1.0)
         sector = SectorLabel(1, 0)

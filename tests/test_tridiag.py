@@ -148,6 +148,58 @@ class TestKernelPaths:
             warnings.simplefilter("error")
             assert numpy_path_counts(m, [lam]).tolist() == [sturm_count(m, lam)]
 
+    @given(
+        st.sampled_from(["float", "integer", "zero-pivot"]),
+        st.integers(1, 30),
+        # G sections of up to 19 // G shifts each stay on the scalar path
+        st.integers(1, 4).flatmap(lambda g: st.tuples(st.just(g), st.integers(1, 19 // g))),
+        st.integers(0, 2),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_three_lane_loop(self, kind, n, stack, lane, ladder, seed):
+        # shift rows of every width mod 3; in each group of three the shift in
+        # ``lane`` hits a zero pivot, so a nudge lands in that lane alone
+        (sections, width), rng = stack, np.random.default_rng(seed)
+        if kind == "zero-pivot":
+            n = min(n, len(_PIVOTS))
+            starts = rng.integers(len(_PIVOTS) - n + 1, size=sections).tolist()
+            ms = [_zero_pivot_section(_PIVOTS[start : start + n]) for start in starts]
+        else:
+            make = random_sym_tridiag if kind == "float" else _integer_sym_tridiag
+            ms = [make(rng, n) for _ in range(sections)]
+        lams = np.empty((sections, width))
+        for m, row in zip(ms, lams):
+            lo, hi = m.gershgorin()
+            row[:] = rng.uniform(lo - 1.0, hi + 1.0, size=width)
+            # diag[0] zeroes the first pivot; 0.0 and integers zero inner ones
+            inner = {"float": [], "integer": np.arange(np.floor(lo), hi).tolist(), "zero-pivot": [0.0]}
+            row[lane::3] = rng.choice([m.diag[0], *inner[kind]], size=row[lane::3].size)
+        sizes = sorted({n, *rng.integers(1, n + 1, size=3).tolist()}) if ladder else None
+        stops = [n] if sizes is None else sizes
+        stacked = sections > 1
+        got = _sturm_counts(ms if stacked else ms[0], lams if stacked else lams[0], sizes)
+        got = np.reshape(got, (len(stops), sections, width))
+        for g, (m, row) in enumerate(zip(ms, lams)):
+            want = np.array([_one_shift_counts(m, lam, stops) for lam in row.tolist()]).T
+            assert got[:, g].tolist() == want.tolist()
+            assert got[:, g].tolist() == np.reshape(numpy_path_counts(m, row, sizes), want.shape).tolist()
+
+
+def _one_shift_counts(m, lam, stops):
+    """Counts at each of ``stops`` of the Python-float Sturm loop at one shift."""
+    d, count, out = float("inf"), 0, []
+    for i, (b, q) in enumerate(zip(m.diag.tolist(), [0.0, *(m.offdiag**2).tolist()])):
+        d = (b - lam) - q / d
+        if d == 0.0:
+            d = tridiag._nudge(b, lam)
+        if d < 0.0:
+            count += 1
+        if i + 1 in stops:
+            out.append(count)
+    return out
+
 
 class TestPrefixLadder:
     """Row j of ``_sturm_counts(m, lams, sizes)`` counts the leading sizes[j] section."""
