@@ -175,6 +175,9 @@ def _parse_index_range(text: str) -> range:
         lo = hi = int(text)
     if hi - lo >= MAX_PARAMS_ROWS:
         raise ValueError(f"--n {text!r} spans more than {MAX_PARAMS_ROWS} indices")
+    limits = np.iinfo(np.int64)
+    if lo < limits.min or hi > limits.max:
+        raise ValueError(f"--n {text!r} holds an index outside [{limits.min}, {limits.max}]")
     return range(lo, hi + 1)
 
 
@@ -285,11 +288,12 @@ def cmd_params(args: argparse.Namespace) -> int:
     indices = _parse_index_range(args.n)
     header = ["model", "sector", "n", "a", "b"]
     rows = []
+    idx = np.array(indices, dtype=np.int64)
     for sector in _select_sectors(model, args.sector):
         params = jacobi_params(model, sector)
-        for n in indices:
-            rows.append([model.name, str(sector), n,
-                         float(params.a(n)), float(params.b(n))])
+        # one array call per rule: the entries of a call per index, bit for bit
+        rows += ([model.name, str(sector), n, a, b]
+                 for n, a, b in zip(indices, params.a(idx).tolist(), params.b(idx).tolist()))
     meta = {"command": "params", **_model_meta(model), "n": args.n}
     _emit(meta, header, rows, args)
     return EXIT_OK

@@ -377,12 +377,12 @@ class JacobiParams:
         return self.modulation.b(n)
 
     def truncation(self, n_max: int) -> SymTridiag:
-        """Leading n_max x n_max finite section."""
+        """Leading n_max x n_max finite section, its entries those of ``a`` and ``b``
+        bit for bit (``PeriodicModulation.leading`` builds them per residue class)."""
         n_max = int(n_max)
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        idx = np.arange(n_max)
-        return SymTridiag(self.b(idx), self.a(idx[:-1]))
+        return SymTridiag(*self.modulation.leading(n_max))
 
 
 def jacobi_params(model: ModelSpec, sector: SectorLabel) -> JacobiParams:

@@ -85,13 +85,34 @@ class PeriodicModulation:
 
     def a(self, n):
         """Off-diagonal rule a_n = alpha_(n mod N) sqrt((n + t)(n + s))."""
-        r = np.asarray(n, dtype=np.int64) % self.period
-        return self.alpha[r] * self.sqrt_growth(n)
+        return self._a(np.asarray(n, dtype=np.int64) % self.period, self.sqrt_growth(n))
 
     def b(self, n):
         """Diagonal rule b_n = beta_(n mod N) n + gamma_(n mod N)."""
-        r = np.asarray(n, dtype=np.int64) % self.period
-        return self.beta[r] * np.asarray(n, dtype=float) + self.gamma[r]
+        return self._b(np.asarray(n, dtype=np.int64) % self.period, np.asarray(n, dtype=float))
+
+    # the closed forms for residues r (an array, or one residue's int), from
+    # the growth factor at the indices and the float indices themselves
+    def _a(self, r, growth):
+        return self.alpha[r] * growth
+
+    def _b(self, r, n):
+        return self.beta[r] * n + self.gamma[r]
+
+    def leading(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """b_0 .. b_(n_max - 1) and a_0 .. a_(n_max - 2), the leading section's entries.
+
+        Each residue class is evaluated on its strided slice of the indices
+        and of one growth factor, with no modulo or gather: the same IEEE
+        operations per entry as ``a`` and ``b``, so the same bits.
+        """
+        n, step = np.arange(n_max, dtype=float), self.period
+        growth = self.sqrt_growth(n[:-1])
+        b, a = np.empty(n_max), np.empty(n_max - 1)
+        for r in range(step):
+            b[r::step] = self._b(r, n[r::step])
+            a[r::step] = self._a(r, growth[r::step])
+        return b, a
 
 
 def transfer_matrix(mod: PeriodicModulation, n: int) -> np.ndarray:

@@ -98,7 +98,9 @@ class CollapseScan:
 
     ``nondiscrete`` flags grid points whose predicted phase is not purely
     discrete; truncated gaps there do not measure spacings of a discrete
-    spectrum and are reported for context only.
+    spectrum and are reported for context only.  ``dropped`` counts, per
+    grid point, the lowest k eigenvalues that lie above 90 % of the
+    section's Gershgorin range and so are left out of its spectrum.
     """
 
     couplings: np.ndarray
@@ -109,6 +111,7 @@ class CollapseScan:
     mean_gaps: np.ndarray
     min_gaps: np.ndarray
     nondiscrete: np.ndarray
+    dropped: np.ndarray
 
 
 def collapse_scan(
@@ -147,7 +150,7 @@ def collapse_scan(
             failure = exc
             break
         models.append(model)
-    spectra, flags = [], []
+    spectra, flags, dropped = [], [], []
     if sections:
         _check_lowest_k(k, int(cutoff))
         tols = [tol if tol is not None else default_bisect_tol(m) for m in sections]
@@ -156,7 +159,9 @@ def collapse_scan(
             # the top tenth of the Gershgorin range holds truncation artifacts;
             # keep them out of the gap statistics
             glo, ghi = section.gershgorin()
-            eigs = eigs[eigs <= glo + 0.9 * (ghi - glo)]
+            kept = eigs[eigs <= glo + 0.9 * (ghi - glo)]
+            dropped.append(eigs.size - kept.size)
+            eigs = kept
             if eigs.size < 2:
                 raise ValueError(
                     f"fewer than two of the lowest {k} eigenvalues lie below the "
@@ -176,6 +181,7 @@ def collapse_scan(
         mean_gaps=np.array([float(np.mean(g)) for g in gaps]),
         min_gaps=np.array([float(np.min(g)) for g in gaps]),
         nondiscrete=np.array(flags, dtype=bool),
+        dropped=np.array(dropped, dtype=np.int64),
     )
 
 

@@ -8,9 +8,12 @@ workload; dense solvers are test oracles only), and Carleman partial sums
 ``_sturm_counts`` is the one Sturm recurrence.  It counts eigenvalues
 strictly below each shift: an exact zero pivot is nudged positive
 (``_nudge``), which counts at lam - 0.  Its scalar path, which steps three
-shifts per row loop, its numpy path and a pass stacking equal-size
-sections make for each shift the same IEEE operations in the same order,
-so their counts are identical.  So do both paths of a derivative pass,
+shifts per row loop, then a pair, then one, its numpy path and a pass
+stacking equal-size sections make for each shift the same IEEE operations
+in the same order, so their counts are identical.  The scalar path does
+not step a shift at or outside the Gershgorin interval whose every pivot a
+float-exact bound decides (``_gershgorin_certifies``): it counts 0 below
+the section and every row above it, as stepping would.  So do both paths of a derivative pass,
 which also carries the pivots' lam-derivatives; its slope differs between
 them only in the order of summation.
 
@@ -60,7 +63,7 @@ _NUMPY_ROW_STEPS = 1200
 _BLOCK_ELEMS = 1 << 15
 
 # derivative passes of a located solve and their shifts per target (medians
-# 6.5 and 3.65 on full 1000-row spectra; CHANGES.md), and the most passes it takes
+# 6.5 and 3.65 on full 1000-row spectra when priced; CHANGES.md), and the most passes it takes
 _NEWTON_PASSES = 7
 _NEWTON_SHIFTS = 4
 _NEWTON_MAX_PASSES = 12
@@ -200,11 +203,14 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
     passes) with ``lams`` of shape (G, S), one row per
     section; the result then gains a section axis.  With ``sizes`` (strictly
     increasing in [1, n_max]) row j counts the leading sizes[j] x sizes[j] section.
-    Fewer than ``_SCALAR_MAX_SHIFTS`` shifts run as Python-float loops, each
-    stepping three of a section's shifts per row (one or two left over run
-    one at a time) and testing the row's pivots once for a sign <= 0 before
-    nudging or counting any; more run
-    as one numpy pass over blocks of ``_BLOCK_ELEMS // lams.size`` rows, none
+    Fewer than ``_SCALAR_MAX_SHIFTS`` shifts run as Python-float loops.  A
+    shift at or outside the section's Gershgorin bounds that
+    ``_gershgorin_certifies`` decides is not stepped: it counts 0 at every
+    stop below the section and the stop's size above it.  The others step
+    three per row loop (``_three_lanes``), a pair left over in one loop
+    (``_two_lanes``) and a single one alone (``_one_lane``); the first two
+    test the row's pivots once for a sign <= 0 before nudging or counting
+    any.  More shifts run as one numpy pass over blocks of ``_BLOCK_ELEMS // lams.size`` rows, none
     crossing a ``sizes`` stop.  At a block end the first zero-pivot row is
     nudged and the rows after it are stepped again, and tails are checked
     once each uncertified section has a positive pivot at its largest shift
@@ -236,46 +242,22 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
 
     counts = np.empty((len(stops), *lams.shape), dtype=np.int64)
     if lams.size < _SCALAR_MAX_SHIFTS and not slopes:
-        for g, (diag_v, off_v) in enumerate(stack.views):
-            row = lams[g].tolist()
-            trio = len(row) - len(row) % 3
-            # three lanes per row loop, each making the one-shift loop's operations
-            for k in range(0, trio, 3):
-                l0, l1, l2 = row[k : k + 3]
-                d0 = d1 = d2 = np.inf
-                c0 = c1 = c2 = start = 0
-                for j, stop in enumerate(stops):
-                    for b, q in zip(diag_v[start:stop], off_v[start:stop]):
-                        d0 = (b - l0) - q / d0
-                        d1 = (b - l1) - q / d1
-                        d2 = (b - l2) - q / d2
-                        # a nudged pivot is positive; NaN neither nudges nor counts
-                        if d0 <= 0.0 or d1 <= 0.0 or d2 <= 0.0:
-                            if d0 == 0.0:
-                                d0 = _nudge(b, l0)
-                            elif d0 < 0.0:
-                                c0 += 1
-                            if d1 == 0.0:
-                                d1 = _nudge(b, l1)
-                            elif d1 < 0.0:
-                                c1 += 1
-                            if d2 == 0.0:
-                                d2 = _nudge(b, l2)
-                            elif d2 < 0.0:
-                                c2 += 1
-                    counts[j, g, k : k + 3] = c0, c1, c2
-                    start = stop
-            for k in range(trio, len(row)):
-                lam, d, count, start = row[k], np.inf, 0, 0
-                for j, stop in enumerate(stops):
-                    for b, q in zip(diag_v[start:stop], off_v[start:stop]):
-                        d = (b - lam) - q / d
-                        if d == 0.0:
-                            d = _nudge(b, lam)
-                        if d < 0.0:
-                            count += 1
-                    counts[j, g, k] = count
-                    start = stop
+        for g, (section, (diag_v, off_v)) in enumerate(zip(stack, stack.views)):
+            glo, ghi = section.gershgorin()
+            out, lanes = counts[:, g], []
+            for k, lam in enumerate(lams[g].tolist()):
+                # a shift below the section counts nothing at every stop, one above it every row
+                if lam <= glo and _gershgorin_certifies(section, lam, above=False):
+                    out[:, k] = 0
+                elif lam >= ghi and _gershgorin_certifies(section, lam, above=True):
+                    out[:, k] = stops
+                else:
+                    lanes += k, lam
+            # three lanes per row loop, then a pair, then one, each filling its columns of out
+            for i in range(0, len(lanes), 6):
+                group = lanes[i : i + 6]  # (column, shift) pairs
+                loop = (_one_lane, _two_lanes, _three_lanes)[len(group) // 2 - 1]
+                loop(diag_v, off_v, stops, out, *group)
     elif lams.size < _SCALAR_MAX_SHIFTS:
         # the numpy derivative row loop's operations, one shift at a time
         slope = np.empty(lams.shape)
@@ -388,6 +370,94 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
         counts = counts[:, 0]
     counts = counts[0] if sizes is None else counts
     return (counts, slope.reshape(lams.shape if stacked else -1)) if slopes else counts
+
+
+def _three_lanes(diag_v, off_v, stops, out, k0, l0, k1, l1, k2, l2):
+    """Count shifts l0, l1 and l2 into columns k0, k1 and k2 of ``out`` (one row per stop).
+
+    One row loop steps all three, each making the one-shift loop's
+    operations (``_one_lane``); the row's pivots are tested once for a
+    sign <= 0 before any is nudged or counted.
+    """
+    d0 = d1 = d2 = np.inf
+    c0 = c1 = c2 = start = 0
+    for j, stop in enumerate(stops):
+        for b, q in zip(diag_v[start:stop], off_v[start:stop]):
+            d0 = (b - l0) - q / d0
+            d1 = (b - l1) - q / d1
+            d2 = (b - l2) - q / d2
+            # a nudged pivot is positive; NaN neither nudges nor counts
+            if d0 <= 0.0 or d1 <= 0.0 or d2 <= 0.0:
+                if d0 == 0.0:
+                    d0 = _nudge(b, l0)
+                elif d0 < 0.0:
+                    c0 += 1
+                if d1 == 0.0:
+                    d1 = _nudge(b, l1)
+                elif d1 < 0.0:
+                    c1 += 1
+                if d2 == 0.0:
+                    d2 = _nudge(b, l2)
+                elif d2 < 0.0:
+                    c2 += 1
+        out[j, k0], out[j, k1], out[j, k2] = c0, c1, c2
+        start = stop
+
+
+def _two_lanes(diag_v, off_v, stops, out, k0, l0, k1, l1):
+    """``_three_lanes`` for two shifts."""
+    d0 = d1 = np.inf
+    c0 = c1 = start = 0
+    for j, stop in enumerate(stops):
+        for b, q in zip(diag_v[start:stop], off_v[start:stop]):
+            d0 = (b - l0) - q / d0
+            d1 = (b - l1) - q / d1
+            if d0 <= 0.0 or d1 <= 0.0:
+                if d0 == 0.0:
+                    d0 = _nudge(b, l0)
+                elif d0 < 0.0:
+                    c0 += 1
+                if d1 == 0.0:
+                    d1 = _nudge(b, l1)
+                elif d1 < 0.0:
+                    c1 += 1
+        out[j, k0], out[j, k1] = c0, c1
+        start = stop
+
+
+def _one_lane(diag_v, off_v, stops, out, k, lam):
+    """Count shift ``lam`` into column k of ``out``: the Sturm recurrence in Python floats."""
+    d, count, start = np.inf, 0, 0
+    for j, stop in enumerate(stops):
+        for b, q in zip(diag_v[start:stop], off_v[start:stop]):
+            d = (b - lam) - q / d
+            if d == 0.0:
+                d = _nudge(b, lam)
+            if d < 0.0:
+                count += 1
+        out[j, k] = count
+        start = stop
+
+
+def _gershgorin_certifies(m, lam, above):
+    """Whether every pivot of ``m`` at ``lam`` is provably positive (``lam``
+    below the section: nothing counts) or, ``above``, negative (every row counts).
+
+    Let gap = diag - lam, or lam - diag ``above``: negating the recurrence's
+    pivots makes the second case the first for -T at -lam, bit for bit.
+    With a_i the coupling of rows i and i + 1 and q_i = fl(a_(i-1)^2), and
+    as rounding is monotone, a pivot d_(i-1) >= a_(i-1) > 0 gives
+    fl(q_i / d_(i-1)) <= fl(q_i / a_(i-1)) and d_i >= u_i =
+    fl(gap_i - fl(q_i / a_(i-1))), with u_0 = gap_0 = d_0.  So u_i >= a_i on
+    every row but the last and u > 0 on it prove every pivot at least
+    a_i > 0, with neither a count nor a nudge: the loops' own counts,
+    without stepping them.
+    """
+    # an overflowing bound rounds to inf, which still bounds the pivot
+    with np.errstate(over="ignore"):
+        u = lam - m.diag if above else m.diag - lam
+        u[1:] -= m._off_sq[1:] / m.offdiag
+    return bool(u[-1] > 0.0 and (u[:-1] >= m.offdiag).all())
 
 
 def _pivot_floor(rows, d, lam):
@@ -548,11 +618,12 @@ def _locate(ms, los, his, bounds, sec, targets, tols, active):
     iterate falls back to (A, B)'s midpoint.  Once every iterate has settled
     a count pass at delta = tols / 100 (at least two float spacings) either
     side of each certifies it: (A, B] shrinks to about 2 delta.  An iterate
-    that fails iterates again, from Newton's step, within
-    ``_NEWTON_MAX_PASSES`` derivative passes in all.  Every count narrows
-    every target's bounds (``_tighten``).  On the full 1000-row spectra of
-    the Rabi models this takes 5-8 derivative passes (median 6.5), where
-    Newton's step alone took 7-12.
+    that fails iterates again, keeping its previous iterate for the fit and
+    its last step for the settle test, within ``_NEWTON_MAX_PASSES``
+    derivative passes in all.  Every count narrows every target's bounds
+    (``_tighten``).  On the full 1000-row spectra of the Rabi models this
+    takes 5-8 derivative passes (median 6), where Newton's step alone took
+    7-12.
     """
     low, high = bounds
     same = (los[1:] == los[:-1]) & (his[1:] == his[:-1]) & (sec[1:] == sec[:-1])
@@ -603,8 +674,6 @@ def _locate(ms, los, his, bounds, sec, targets, tols, active):
             if passes == _NEWTON_MAX_PASSES:
                 break
             newton = go.copy()
-            last.fill(np.nan)
-            x_prev.fill(np.nan)
         go &= high - low > 3.0 * delta
         newton &= go
 
@@ -690,8 +759,9 @@ def _pass_cost(shifts: int) -> float:
     at ``_SCALAR_MAX_SHIFTS``) per shift below it.
 
     The scalar price is that of one shift at a time, so it overstates passes
-    of three or more shifts, which step three per row loop.  It is left as it
-    is on purpose: a cheaper price would move routes and speculative depths.
+    of two or more shifts, which step three per row loop or a pair in one,
+    and shifts the Gershgorin check answers without stepping.  It is left as
+    it is on purpose: a cheaper price would move routes and speculative depths.
     """
     if shifts < _SCALAR_MAX_SHIFTS:
         return shifts * (_NUMPY_ROW_STEPS + _SCALAR_MAX_SHIFTS) / _SCALAR_MAX_SHIFTS

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,39 @@ class TestParams:
         assert float(rows[0]["a"]) == np.sqrt(2.0)
         assert float(rows[0]["b"]) == 1.0
         assert float(rows[1]["b"]) == 0.0
+
+    @pytest.mark.parametrize("n", ["-4..12", "999990..1000001"])
+    def test_table_is_a_call_per_index(self, n):
+        # the table evaluates each rule once over the range; a call per index
+        # is the reference, -0.0 and NaN (sqrt of a negative at n = -2) included
+        argv = ["params", "--model", "intensity", "--g", "0.3", "--delta", "1",
+                "--kappa", "1.5", f"--n={n}"]
+        with pytest.warns(RuntimeWarning) if n.startswith("-") else nullcontext():
+            code, out, _ = run_main(argv)
+        assert code == 0
+        model = cli._build_model(cli._build_parser().parse_args(argv))
+        want = []
+        with np.errstate(invalid="ignore"):
+            for sector in sectors(model):
+                params = models.jacobi_params(model, sector)
+                want += [[str(sector), str(i), repr(float(params.a(i))), repr(float(params.b(i)))]
+                         for i in cli._parse_index_range(n)]
+        assert [[r["sector"], r["n"], r["a"], r["b"]] for r in parse_csv(out)] == want
+
+
+    @pytest.mark.parametrize("n", ["9223372036854775808", "-9223372036854775809",
+                                   "9223372036854775807..9223372036854775808"])
+    def test_index_outside_int64_exits_one(self, n):
+        code, out, err = run_main(["params", "--model", "two-photon", "--g", "0.3", f"--n={n}"])
+        assert (code, out) == (1, "")
+        assert err == (f"rabi-spectra: error: --n {n!r} holds an index outside "
+                       "[-9223372036854775808, 9223372036854775807]\n")
+
+    def test_int64_limits_are_indices(self):
+        code, out, _ = run_main(["params", "--model", "two-photon", "--g", "0.3", "--sector", "0+",
+                                 "--n=-9223372036854775808..-9223372036854775807"])
+        assert code == 0
+        assert [r["n"] for r in parse_csv(out)] == ["-9223372036854775808", "-9223372036854775807"]
 
 
 class TestSpectrum:

@@ -28,7 +28,7 @@ from rabi_spectra import (
     sector_basis_index,
     sectors,
 )
-from rabi_spectra.modulation import exact_edge_indicator
+from rabi_spectra.modulation import PeriodicModulation, exact_edge_indicator
 
 ALL_SECTOR_LABELS = {
     "intensity": ("-", "+"),
@@ -113,6 +113,26 @@ class TestJacobiParams:
             small, big = params.truncation(300), params.truncation(600)
             assert small.diag.tobytes() == big.diag[:300].tobytes()
             assert small.offdiag.tobytes() == big.offdiag[:299].tobytes()
+
+    @pytest.mark.parametrize("model", sample_models(), ids=lambda m: m.name)
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 1000, 20001])
+    def test_truncation_entries_are_the_rules_bit_for_bit(self, model, n_max):
+        # the section is built per residue class, a(n) and b(n) by index arrays
+        idx = np.arange(n_max)
+        for sector in sectors(model):
+            params = jacobi_params(model, sector)
+            m = params.truncation(n_max)
+            assert m.diag.tobytes() == params.b(idx).tobytes()
+            assert m.offdiag.tobytes() == params.a(idx[:-1]).tobytes()
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 1000, 20001])
+    def test_period_three_leading_entries_are_the_rules(self, n_max):
+        mod = PeriodicModulation(alpha=(0.3, 1.7, 0.9), beta=(1.0, -2.5, 0.1),
+                                 gamma=(0.25, -1.0 / 3.0, 7.0), t=0.7, s=2.9)
+        b, a = mod.leading(n_max)
+        idx = np.arange(n_max)
+        assert b.tobytes() == mod.b(idx).tobytes()
+        assert a.tobytes() == mod.a(idx[:-1]).tobytes()
 
     def test_closed_forms_match_modulated_forms(self):
         # the evaluable rules are the modulated forms; the per-model closed

@@ -84,6 +84,7 @@ class TestCollapseScan:
         )
         assert np.all(np.diff(scan.mean_gaps) < 0)
         assert not scan.nondiscrete.any()
+        assert scan.dropped.tolist() == [0] * 5
 
     def test_intensity_dependent_mean_gap_decreases(self):
         scan = collapse_scan(
@@ -110,6 +111,18 @@ class TestCollapseScan:
             k=4,
         )
         assert scan.nondiscrete.tolist() == [False, True]
+
+    def test_dropped_counts_the_spurious_edge_cut(self):
+        # at k = cutoff every eigenvalue is taken, and the top of the
+        # spectrum lies above 90 % of the Gershgorin range
+        grid, sector = [0.1, 0.3], SectorLabel(1, 0)
+        scan = collapse_scan(lambda g: TwoPhoton(g=g, delta=1.0), grid, sector, cutoff=20, k=20)
+        for g, spec, dropped in zip(grid, scan.spectra, scan.dropped.tolist()):
+            m = jacobi_params(TwoPhoton(g=g, delta=1.0), sector).truncation(20)
+            glo, ghi = m.gershgorin()
+            above = int(np.sum(dense_eigenvalues(m) > glo + 0.9 * (ghi - glo)))
+            assert dropped == above > 0
+            assert len(spec) + dropped == 20
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -160,7 +160,10 @@ class TestKernelPaths:
     @settings(max_examples=150, deadline=None)
     def test_three_lane_loop(self, kind, n, stack, lane, ladder, seed):
         # shift rows of every width mod 3; in each group of three the shift in
-        # ``lane`` hits a zero pivot, so a nudge lands in that lane alone
+        # ``lane`` hits a zero pivot, so a nudge lands in that lane alone.  The
+        # shifts the Gershgorin check decides are not stepped; the others go
+        # three to a loop, and a width of 2 mod 3 among them leaves a pair for
+        # the two-lane loop
         (sections, width), rng = stack, np.random.default_rng(seed)
         if kind == "zero-pivot":
             n = min(n, len(_PIVOTS))
@@ -179,12 +182,134 @@ class TestKernelPaths:
         sizes = sorted({n, *rng.integers(1, n + 1, size=3).tolist()}) if ladder else None
         stops = [n] if sizes is None else sizes
         stacked = sections > 1
-        got = _sturm_counts(ms if stacked else ms[0], lams if stacked else lams[0], sizes)
+        calls = {1: 0, 2: 0, 3: 0}
+        with pytest.MonkeyPatch.context() as mp:
+            for name, lanes in [("_one_lane", 1), ("_two_lanes", 2), ("_three_lanes", 3)]:
+                mp.setattr(tridiag, name, _counting(getattr(tridiag, name), calls, lanes))
+            got = _sturm_counts(ms if stacked else ms[0], lams if stacked else lams[0], sizes)
+        stepped = [sum(not _decided(m, lam) for lam in row.tolist()) for m, row in zip(ms, lams)]
+        assert calls == {1: sum(w % 3 == 1 for w in stepped), 2: sum(w % 3 == 2 for w in stepped),
+                         3: sum(w // 3 for w in stepped)}
         got = np.reshape(got, (len(stops), sections, width))
         for g, (m, row) in enumerate(zip(ms, lams)):
             want = np.array([_one_shift_counts(m, lam, stops) for lam in row.tolist()]).T
             assert got[:, g].tolist() == want.tolist()
             assert got[:, g].tolist() == np.reshape(numpy_path_counts(m, row, sizes), want.shape).tolist()
+
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_pair_loop_nudges_either_lane(self, lane):
+        # pivots 0, 1, -2, 0, ... at shift 0: both zeros nudge in ``lane`` alone
+        m = _zero_pivot_section(_PIVOTS)
+        lams = [0.5, 0.5]
+        lams[lane] = 0.0
+        calls = {1: 0, 2: 0, 3: 0}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tridiag, "_two_lanes", _counting(tridiag._two_lanes, calls, 2))
+            got = _sturm_counts(m, lams, [4, len(_PIVOTS)])
+        assert calls[2] == 1
+        want = np.array([_one_shift_counts(m, lam, [4, len(_PIVOTS)]) for lam in lams]).T
+        assert got.tolist() == want.tolist()
+        assert got.tolist() == numpy_path_counts(m, lams, [4, len(_PIVOTS)]).tolist()
+
+
+def _counting(loop, calls, lanes):
+    """``loop``, adding one to ``calls[lanes]`` on each call."""
+    def counted(*args):
+        calls[lanes] += 1
+        return loop(*args)
+    return counted
+
+
+def _decided(m, lam):
+    """Whether the Gershgorin check answers ``lam`` for ``m`` without a step."""
+    lo, hi = m.gershgorin()
+    return (lam <= lo and tridiag._gershgorin_certifies(m, lam, above=False)) or (
+        lam >= hi and tridiag._gershgorin_certifies(m, lam, above=True))
+
+
+class TestGershgorinCertificate:
+    """A count pass answers a shift the Gershgorin check decides without stepping it.
+
+    Counts must be those of the stepped path, taken with the check switched
+    off, and those of the one-shift Python loop.
+    """
+
+    @given(
+        st.sampled_from(["float", "integer", "kac", "zero-pivot", "huge", "tiny"]),
+        st.integers(1, 30),
+        st.integers(1, 3),
+        # ulps from the lower and the upper Gershgorin bound
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_equal_the_stepped_counts(self, kind, n, sections, below, above, ladder, seed):
+        rng = np.random.default_rng(seed)
+        n = min(n, len(_PIVOTS)) if kind == "zero-pivot" else n
+        ms = [_bounded_section(kind, n, rng) for _ in range(sections)]
+        lams = []
+        for m in ms:
+            lo, hi = m.gershgorin()
+            # and one shift each side up to a section's scale beyond its bounds
+            reach = rng.uniform(0.0, 1.0, size=2) * (hi - lo + abs(lo) + abs(hi))
+            lams.append([*(_ulps(lo, k) for k in below), *(_ulps(hi, k) for k in above),
+                         lo - reach[0], hi + reach[1]])
+        lams = np.array(lams)
+        sizes = sorted({n, *rng.integers(1, n + 1, size=3).tolist()}) if ladder else None
+        stops = [n] if sizes is None else sizes
+        stacked = sections > 1
+        args = (ms if stacked else ms[0], lams if stacked else lams[0], sizes)
+        got = _sturm_counts(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tridiag, "_gershgorin_certifies", lambda *_, **__: False)
+            assert got.tolist() == _sturm_counts(*args).tolist()
+        got = np.reshape(got, (len(stops), sections, lams.shape[1]))
+        for g, (m, row) in enumerate(zip(ms, lams)):
+            want = np.array([_one_shift_counts(m, lam, stops) for lam in row.tolist()]).T
+            assert got[:, g].tolist() == want.tolist()
+
+    def test_integer_section_is_decided_at_its_bounds(self, monkeypatch):
+        # diag 2, off 1: Gershgorin gives [0, 4] exactly, and the pivots at 0
+        # are (i + 2) / (i + 1), at 4 their negatives
+        m = SymTridiag(diag=np.full(50, 2.0), offdiag=np.ones(49))
+        assert m.gershgorin() == (0.0, 4.0)
+        stepped = []
+        one_lane = tridiag._one_lane
+        monkeypatch.setattr(tridiag, "_one_lane", lambda *a: stepped.append(a[-1]) or one_lane(*a))
+        # eigenvalues 2 + 2 cos(k pi / (n + 1)): 5 of 10 and 25 of 50 lie below 2
+        assert _sturm_counts(m, [0.0, 2.0, 4.0], [10, 50]).tolist() == [[0, 5, 10], [0, 25, 50]]
+        assert stepped == [2.0]
+
+    def test_zero_pivot_at_a_bound_is_stepped(self):
+        # a 1 x 1 section has both bounds at diag[0], where its pivot is 0
+        m = SymTridiag(diag=[3.0], offdiag=[])
+        assert m.gershgorin() == (3.0, 3.0)
+        assert not tridiag._gershgorin_certifies(m, 3.0, above=False)
+        assert not tridiag._gershgorin_certifies(m, 3.0, above=True)
+        assert _sturm_counts(m, [3.0]).tolist() == [0]
+
+
+def _bounded_section(kind, n, rng):
+    """A section for ``TestGershgorinCertificate`` of the given kind."""
+    if kind == "integer":
+        return SymTridiag(diag=np.full(n, 2.0), offdiag=np.ones(n - 1))
+    if kind == "kac":
+        return _kac(n)
+    if kind == "zero-pivot":
+        start = int(rng.integers(len(_PIVOTS) - n + 1))
+        return _zero_pivot_section(_PIVOTS[start : start + n])
+    m = random_sym_tridiag(rng, n)
+    scale = {"float": 1.0, "huge": 1e150, "tiny": 1e-150}[kind]
+    return SymTridiag(diag=m.diag * scale, offdiag=m.offdiag * scale)
+
+
+def _ulps(x, k):
+    """``x`` moved by k floats (down for negative k)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.copysign(np.inf, k))
+    return float(x)
 
 
 def _one_shift_counts(m, lam, stops):
