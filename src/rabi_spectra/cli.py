@@ -215,41 +215,18 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
     return cutoffs
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _jsonable(value):
-    if value is None or isinstance(value, (str, int, bool)):
-        return value
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    raise TypeError(f"cannot serialise {value!r}")
-
-
 def _emit(meta: dict, header: list[str], rows: list[list], args: argparse.Namespace) -> None:
+    # commands build meta and rows from Python scalars and str (no None in
+    # meta): json and csv write a float by repr and a None cell as null / ""
     if args.format == "json":
-        payload = {
-            "meta": {k: _jsonable(v) for k, v in meta.items()},
-            "rows": [
-                {k: _jsonable(v) for k, v in zip(header, row)} for row in rows
-            ],
-        }
+        payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        meta_line = " ".join(f"{k}={_cell(v)}" for k, v in meta.items())
+        meta_line = " ".join(f"{k}={v}" for k, v in meta.items())
         buf.write(f"# {meta_line}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        # rows hold plain Python values: csv writes a float by repr and None
-        # as "", as _cell does
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:

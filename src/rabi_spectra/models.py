@@ -519,9 +519,11 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     (anisotropic: endpoint -1/2, error about 1e-17 delta).  The tolerance is
     capped at 1e-6 relative to the closed-form endpoint (at least 1), so
     that a huge delta cannot pass any endpoint.  Where the float indicator
-    fails the check, it is summed again exactly over the same float data
-    (``exact_edge_indicator``), which keeps the anisotropic endpoint at
-    large mean couplings; if that fails too, ``IndicatorMismatchError`` (a
+    fails the check, or its endpoint misses the closed form by more than
+    1e-9 relative to the closed endpoint, it is summed again exactly over
+    the same float data (``exact_edge_indicator``), which keeps the
+    anisotropic endpoint at large mean couplings and a small endpoint next
+    to a large delta; if the check fails then, ``IndicatorMismatchError`` (a
     RuntimeError) is raised.
     """
     params = jacobi_params(model, sector)
@@ -538,7 +540,7 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     def disagrees(h: HalfLine) -> bool:
         return h.direction != closed.direction or abs(h.endpoint - closed.endpoint) > tol
 
-    if disagrees(halfline):
+    if disagrees(halfline) or abs(halfline.endpoint - closed.endpoint) > 1e-9 * abs(closed.endpoint):
         # the float sum may have cancelled: sum it exactly over the same data
         indicator, halfline = exact_edge_indicator(params.modulation, mono)
     if disagrees(halfline):

@@ -11,15 +11,16 @@ strictly below each shift: an exact zero pivot is nudged positive
 shifts per row loop, then a pair, then one, its numpy path and a pass
 stacking equal-size sections make for each shift the same IEEE operations
 in the same order, so their counts are identical.  The scalar path does
-not step a shift at or outside the Gershgorin interval whose every pivot a
-float-exact bound decides (``_gershgorin_certifies``): it counts 0 below
-the section and every row above it, as stepping would.  So do both paths of a derivative pass,
-which also carries the pivots' lam-derivatives; its slope differs between
-them only in the order of summation.
+not step a shift at or below the lower Gershgorin bound whose every pivot
+a float-exact bound proves positive (``_gershgorin_certifies``): it counts
+0, as stepping would.  Only the scalar path counts a prefix ladder
+(``sizes``), the leading sections of one pass.  Both paths of a derivative
+pass make the same pivots and also carry their lam-derivatives; its slope
+differs between them only in the order of summation.
 
 A numpy pass stops at a block end once each section's tail is certified:
 the recurrence walked in Python floats at its largest shift from its
-least carried pivot (``_pivot_floor``) stays positive to the stop row.
+least carried pivot (``_pivot_floor``) stays positive to the last row.
 Rounded (b - lam) - q / d is nondecreasing in d > 0 and nonincreasing in
 lam, so every shift's pivot stays at or above the walk's and no later
 count changes.
@@ -63,7 +64,7 @@ _NUMPY_ROW_STEPS = 1200
 _BLOCK_ELEMS = 1 << 15
 
 # derivative passes of a located solve and their shifts per target (medians
-# 6.5 and 3.65 on full 1000-row spectra when priced; CHANGES.md), and the most passes it takes
+# 6 and 3.65 on full 1000-row spectra when priced; CHANGES.md), and the most passes it takes
 _NEWTON_PASSES = 7
 _NEWTON_SHIFTS = 4
 _NEWTON_MAX_PASSES = 12
@@ -202,55 +203,55 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
     sections of equal size (the solve's ``_Stack`` keeps their rows across
     passes) with ``lams`` of shape (G, S), one row per
     section; the result then gains a section axis.  With ``sizes`` (strictly
-    increasing in [1, n_max]) row j counts the leading sizes[j] x sizes[j] section.
-    Fewer than ``_SCALAR_MAX_SHIFTS`` shifts run as Python-float loops.  A
-    shift at or outside the section's Gershgorin bounds that
-    ``_gershgorin_certifies`` decides is not stepped: it counts 0 at every
-    stop below the section and the stop's size above it.  The others step
-    three per row loop (``_three_lanes``), a pair left over in one loop
-    (``_two_lanes``) and a single one alone (``_one_lane``); the first two
-    test the row's pivots once for a sign <= 0 before nudging or counting
-    any.  More shifts run as one numpy pass over blocks of ``_BLOCK_ELEMS // lams.size`` rows, none
-    crossing a ``sizes`` stop.  At a block end the first zero-pivot row is
-    nudged and the rows after it are stepped again, and tails are checked
-    once each uncertified section has a positive pivot at its largest shift
-    and is past the row its last walk failed on.
+    increasing in [1, n_max]) row j counts the leading sizes[j] x sizes[j]
+    section; a ladder takes no ``slopes``.
+
+    Fewer than ``_SCALAR_MAX_SHIFTS`` shifts, and a ladder of any width, run
+    as Python-float loops.  A shift at or below the section's lower Gershgorin
+    bound that ``_gershgorin_certifies`` decides is not stepped: it counts 0
+    at every stop.  The others step three per row loop (``_three_lanes``), a
+    pair left over in one loop (``_two_lanes``) and a single one alone
+    (``_one_lane``); the first two test the row's pivots once for a sign
+    <= 0 before nudging or counting any.  More shifts run as one numpy pass
+    over blocks of ``_BLOCK_ELEMS // lams.size`` rows.  At a block end the
+    first zero-pivot row is nudged and the rows after it are stepped again,
+    and tails are checked once each uncertified section has a positive
+    pivot at its largest shift and is past the row its last walk failed on.
 
     With ``slopes`` the pass also returns d/dlam log|det(T - lam)| = sum of
-    d'_i / d_i of the section (of sizes[-1] rows) at each shift, shaped like
-    the counts of one stop.  Fewer than ``_SCALAR_MAX_SHIFTS`` shifts run as
-    Python-float loops beside the count loops, more as numpy with the
-    derivative rows sharing the block budget; neither checks tails.  Both
-    make the count pass's IEEE operations for the pivots, so its counts, and
-    the same ones for each ratio; the loops sum a slope row by row, numpy
-    block by block.
+    d'_i / d_i of the section at each shift, shaped like the counts.  Fewer
+    than ``_SCALAR_MAX_SHIFTS`` shifts run as Python-float loops, more as
+    numpy with the derivative rows sharing the block budget; neither checks
+    tails.  Both make the count pass's IEEE operations for the pivots, so
+    its counts, and the same ones for each ratio; the loops sum a slope row
+    by row, numpy block by block.
     """
     stacked = not isinstance(m, SymTridiag)
     stack = m if isinstance(m, _Stack) else _Stack(m if stacked else (m,))
     lams = np.asarray(lams, dtype=float)
-    n_max = stack[0].n_max
+    n = stack[0].n_max
     if lams.shape[:-1] != ((len(stack),) if stacked else ()) or any(
-        s.n_max != n_max for s in stack
+        s.n_max != n for s in stack
     ):
         raise ValueError("stacked sections need equal sizes and one row of shifts each")
     lams = lams.reshape(len(stack), -1)
-    stops = [n_max] if sizes is None else [int(s) for s in sizes]
-    if not stops or stops[0] < 1 or stops[-1] > n_max or any(
+    stops = [n] if sizes is None else [int(s) for s in sizes]
+    if not stops or stops[0] < 1 or stops[-1] > n or any(
         b <= a for a, b in zip(stops, stops[1:])
     ):
-        raise ValueError(f"sizes must increase strictly within [1, {n_max}]")
+        raise ValueError(f"sizes must increase strictly within [1, {n}]")
+    if sizes is not None and slopes:
+        raise ValueError("a derivative pass steps the whole section: sizes take no slopes")
 
     counts = np.empty((len(stops), *lams.shape), dtype=np.int64)
-    if lams.size < _SCALAR_MAX_SHIFTS and not slopes:
+    if not slopes and (lams.size < _SCALAR_MAX_SHIFTS or sizes is not None):
         for g, (section, (diag_v, off_v)) in enumerate(zip(stack, stack.views)):
-            glo, ghi = section.gershgorin()
+            glo = section.gershgorin()[0]
             out, lanes = counts[:, g], []
             for k, lam in enumerate(lams[g].tolist()):
-                # a shift below the section counts nothing at every stop, one above it every row
-                if lam <= glo and _gershgorin_certifies(section, lam, above=False):
+                # a shift below the section counts nothing at every stop
+                if lam <= glo and _gershgorin_certifies(section, lam):
                     out[:, k] = 0
-                elif lam >= ghi and _gershgorin_certifies(section, lam, above=True):
-                    out[:, k] = stops
                 else:
                     lanes += k, lam
             # three lanes per row loop, then a pair, then one, each filling its columns of out
@@ -263,19 +264,17 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
         slope = np.empty(lams.shape)
         for g, (diag_v, off_v) in enumerate(stack.views):
             for k, lam in enumerate(lams[g].tolist()):
-                d, r, total, count, start = np.inf, 0.0, 0.0, 0, 0
-                for j, stop in enumerate(stops):
-                    for b, q in zip(diag_v[start:stop], off_v[start:stop]):
-                        t = q / d
-                        d = (b - lam) - t
-                        if d == 0.0:
-                            d = _nudge(b, lam)
-                        r = (t * r - 1.0) / d
-                        total += r
-                        if d < 0.0:
-                            count += 1
-                    counts[j, g, k] = count
-                    start = stop
+                d, r, total, count = np.inf, 0.0, 0.0, 0
+                for b, q in zip(diag_v, off_v):
+                    t = q / d
+                    d = (b - lam) - t
+                    if d == 0.0:
+                        d = _nudge(b, lam)
+                    r = (t * r - 1.0) / d
+                    total += r
+                    if d < 0.0:
+                        count += 1
+                counts[0, g, k] = count
                 slope[g, k] = total
     else:
         # a row of pivots is (G, S) and divides by a (G, 1) coupling column; one
@@ -284,7 +283,7 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
         shifts = lams[0] if len(stack) == 1 else lams
         # no block outgrows the section, so neither does the buffer; derivative
         # rows share the block budget with the pivots
-        rows = max(1, min(stops[-1], _BLOCK_ELEMS // (lams.size * (2 if slopes else 1))))
+        rows = max(1, min(n, _BLOCK_ELEMS // (lams.size * (2 if slopes else 1))))
         height = 2 * rows + 4 if slopes else rows + 2
         # the blocks, the carried rows and the quotient rows share one allocation
         # that starts on a 64-byte boundary: where the block started moved the
@@ -301,7 +300,7 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
             rbuf, rcarry, w = work[rows + 2 : 2 * rows + 2], work[-2], work[-1]
             rcarry.fill(0.0)
             ratio_views, slope = list(rbuf), np.zeros(shifts.shape)
-        count, start, n = np.zeros(shifts.shape, np.int64), 0, stops[-1]
+        count, start = np.zeros(shifts.shape, np.int64), 0
         # per section: its carried pivots, the flat index of its largest shift
         # (in lams and carry alike) and the row from which its tail may be checked
         carries = carry.reshape(lams.shape)
@@ -310,62 +309,61 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
         # q / d overflows where a shift sits a subnormal step from a pivot,
         # and rows after a zero pivot divide by it until the block is checked
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for j, stop in enumerate(stops):
-                while start < stop:
-                    block = buf[: stop - start]
-                    end = start + len(block)
-                    np.subtract(diag[start:end], shifts, out=block)
-                    d = carry
-                    # zip stops at the block's last row
-                    if slopes:
-                        r = rcarry
-                        for row, ratio, q in zip(row_views, ratio_views, off[start:end]):
-                            np.divide(q, d, out=t)
-                            np.subtract(row, t, out=row)
-                            np.multiply(t, r, out=w)
-                            np.subtract(w, 1.0, out=w)
-                            np.divide(w, row, out=ratio)
-                            d, r = row, ratio
+            while start < n:
+                block = buf[: n - start]
+                end = start + len(block)
+                np.subtract(diag[start:end], shifts, out=block)
+                d = carry
+                # zip stops at the block's last row
+                if slopes:
+                    r = rcarry
+                    for row, ratio, q in zip(row_views, ratio_views, off[start:end]):
+                        np.divide(q, d, out=t)
+                        np.subtract(row, t, out=row)
+                        np.multiply(t, r, out=w)
+                        np.subtract(w, 1.0, out=w)
+                        np.divide(w, row, out=ratio)
+                        d, r = row, ratio
+                else:
+                    for row, q in zip(row_views, off[start:end]):
+                        np.divide(q, d, out=t)
+                        np.subtract(row, t, out=row)
+                        d = row
+                zero = block == 0.0
+                if zero.any():
+                    # nudge the first zero pivot row, drop the rows after it
+                    z = int(np.argmax(zero.reshape(len(zero), -1).any(axis=1)))
+                    block[z] = np.where(zero[z], _nudge(diag[start + z], shifts), block[z])
+                    block = block[: z + 1]
+                    if slopes:  # the ratio of the nudged row, as the row loop forms it
+                        d, r = (buf[z - 1], rbuf[z - 1]) if z else (carry, rcarry)
+                        rbuf[z] = ((off[start + z] / d) * r - 1.0) / block[z]
+                # uint16 holds the sum: a block has at most _BLOCK_ELEMS < 2**16 rows
+                count += (block < 0).sum(axis=0, dtype=np.uint16)
+                np.copyto(carry, block[-1])
+                if slopes:
+                    np.copyto(rcarry, rbuf[len(block) - 1])
+                    slope += rbuf[: len(block)].sum(axis=0)
+                start += len(block)
+                # check tails only where the pass could stop: every uncertified
+                # section is due and has a positive pivot at its largest shift;
+                # a slope needs every row
+                if start < n and not slopes and all(
+                    retry[g] <= start and carry.item(tops[g]) > 0.0 for g in uncertified
+                ):
+                    while uncertified:
+                        g = uncertified.pop()
+                        diag_v, off_v = stack.views[g]
+                        walked, bound = _pivot_floor(zip(diag_v[start:], off_v[start:]),
+                                                     carries[g].min().item(), lams.item(tops[g]))
+                        if not 0.0 < bound < np.inf:
+                            # checked again, and first, once past the failing row
+                            retry[g] = start + walked
+                            uncertified.append(g)
+                            break
                     else:
-                        for row, q in zip(row_views, off[start:end]):
-                            np.divide(q, d, out=t)
-                            np.subtract(row, t, out=row)
-                            d = row
-                    zero = block == 0.0
-                    if zero.any():
-                        # nudge the first zero pivot row, drop the rows after it
-                        z = int(np.argmax(zero.reshape(len(zero), -1).any(axis=1)))
-                        block[z] = np.where(zero[z], _nudge(diag[start + z], shifts), block[z])
-                        block = block[: z + 1]
-                        if slopes:  # the ratio of the nudged row, as the row loop forms it
-                            d, r = (buf[z - 1], rbuf[z - 1]) if z else (carry, rcarry)
-                            rbuf[z] = ((off[start + z] / d) * r - 1.0) / block[z]
-                    # uint16 holds the sum: a block has at most _BLOCK_ELEMS < 2**16 rows
-                    count += (block < 0).sum(axis=0, dtype=np.uint16)
-                    np.copyto(carry, block[-1])
-                    if slopes:
-                        np.copyto(rcarry, rbuf[len(block) - 1])
-                        slope += rbuf[: len(block)].sum(axis=0)
-                    start += len(block)
-                    # check tails only where the pass could stop: every uncertified
-                    # section is due and has a positive pivot at its largest shift;
-                    # a slope needs every row
-                    if start < n and not slopes and all(
-                        retry[g] <= start and carry.item(tops[g]) > 0.0 for g in uncertified
-                    ):
-                        while uncertified:
-                            g = uncertified.pop()
-                            diag_v, off_v = stack.views[g]
-                            walked, bound = _pivot_floor(zip(diag_v[start:n], off_v[start:n]),
-                                                         carries[g].min().item(), lams.item(tops[g]))
-                            if not 0.0 < bound < np.inf:
-                                # checked again, and first, once past the failing row
-                                retry[g] = start + walked
-                                uncertified.append(g)
-                                break
-                        else:
-                            start = n  # every count stays as it is
-                counts[j] = count
+                        start = n  # every count stays as it is
+        counts[0] = count
     if not stacked:
         counts = counts[:, 0]
     counts = counts[0] if sizes is None else counts
@@ -439,23 +437,20 @@ def _one_lane(diag_v, off_v, stops, out, k, lam):
         start = stop
 
 
-def _gershgorin_certifies(m, lam, above):
-    """Whether every pivot of ``m`` at ``lam`` is provably positive (``lam``
-    below the section: nothing counts) or, ``above``, negative (every row counts).
+def _gershgorin_certifies(m, lam):
+    """Whether every pivot of ``m`` at ``lam`` is provably positive, so nothing counts below ``lam``.
 
-    Let gap = diag - lam, or lam - diag ``above``: negating the recurrence's
-    pivots makes the second case the first for -T at -lam, bit for bit.
     With a_i the coupling of rows i and i + 1 and q_i = fl(a_(i-1)^2), and
     as rounding is monotone, a pivot d_(i-1) >= a_(i-1) > 0 gives
     fl(q_i / d_(i-1)) <= fl(q_i / a_(i-1)) and d_i >= u_i =
-    fl(gap_i - fl(q_i / a_(i-1))), with u_0 = gap_0 = d_0.  So u_i >= a_i on
-    every row but the last and u > 0 on it prove every pivot at least
-    a_i > 0, with neither a count nor a nudge: the loops' own counts,
-    without stepping them.
+    fl((diag_i - lam) - fl(q_i / a_(i-1))), with u_0 = diag_0 - lam = d_0.
+    So u_i >= a_i on every row but the last and u > 0 on it prove every
+    pivot at least a_i > 0, with neither a count nor a nudge: the loops' own
+    count of 0, without stepping them.
     """
     # an overflowing bound rounds to inf, which still bounds the pivot
     with np.errstate(over="ignore"):
-        u = lam - m.diag if above else m.diag - lam
+        u = m.diag - lam
         u[1:] -= m._off_sq[1:] / m.offdiag
     return bool(u[-1] > 0.0 and (u[:-1] >= m.offdiag).all())
 
@@ -760,8 +755,9 @@ def _pass_cost(shifts: int) -> float:
 
     The scalar price is that of one shift at a time, so it overstates passes
     of two or more shifts, which step three per row loop or a pair in one,
-    and shifts the Gershgorin check answers without stepping.  It is left as
-    it is on purpose: a cheaper price would move routes and speculative depths.
+    and shifts below the section that the Gershgorin check answers without
+    stepping.  It is left as it is on purpose: a cheaper price would move
+    routes and speculative depths.
     """
     if shifts < _SCALAR_MAX_SHIFTS:
         return shifts * (_NUMPY_ROW_STEPS + _SCALAR_MAX_SHIFTS) / _SCALAR_MAX_SHIFTS

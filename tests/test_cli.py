@@ -204,6 +204,34 @@ class TestVerifyDecomp:
         assert float(row["max_cross"]) == 0.0
 
 
+class TestJsonMatchesCsv:
+    """Every JSON field is the value the CSV run writes as text: a float by repr, None as ""."""
+
+    @staticmethod
+    def text(value):
+        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "--model", "intensity", "--g", "0.25", "--kappa", "1", "--delta", "2", "--n", "0..4"],
+        ["params", "--model", "anisotropic", "--g-plus", "0.6", "--g-minus", "0.2", "--n", "7"],
+        ["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "0+", "--cutoff", "40",
+         "--window", "-2", "10"],
+        ["spectrum", "--model", "rabi-stark", "--g", "0.3", "--kappa", "0.5", "--cutoff", "30"],
+        ["verify-decomp", "--model", "two-photon", "--g", "0.7", "--delta", "1.3", "--cutoff", "60"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_fields_equal_the_csv_text(self, argv):
+        code, csv_out, err = run_main(argv)
+        assert code == 0, err
+        code, json_out, err = run_main([*argv, "--format", "json"])
+        assert code == 0, err
+        payload = json.loads(json_out)
+        meta_line, body = csv_out.split("\n", 1)
+        assert meta_line == "# " + " ".join(f"{k}={self.text(v)}" for k, v in payload["meta"].items())
+        rows = list(csv.reader(io.StringIO(body)))
+        assert rows[0] == list(payload["rows"][0])
+        assert rows[1:] == [[self.text(v) for v in row.values()] for row in payload["rows"]]
+
+
 class TestExitCodesAndDeterminism:
     def test_usage_error_is_exit_one(self):
         assert run_cli("classify", "--model", "two-photon").returncode == 1  # missing --g
@@ -231,6 +259,26 @@ class TestExitCodesAndDeterminism:
             assert row["kind"] == "critical-half-line"
             assert float(row["endpoint"]) == -0.5
             assert row["direction"] == "down"
+
+    @pytest.mark.parametrize("kappa, delta, sector, endpoint", [
+        ("1e-6", "1e9", "+", "-1e-06"),
+        ("4.33e-8", "-5.4e11", "-", "-4.33e-08"),
+    ])
+    def test_small_endpoint_beside_a_large_delta_is_summed_exactly(self, kappa, delta, sector, endpoint):
+        # c0 sums terms of size |delta| / 2 that cancel: the float endpoints
+        # read -1.0132789611816406e-06 and 0.0, inside the check's tolerance
+        # but more than 1e-9 relative from the closed form
+        code, out, err = run_main(["classify", "--model", "intensity", "--g", "0.5", "--kappa", kappa,
+                                   f"--delta={delta}", "--sector", sector])
+        assert code == 0, err
+        assert parse_csv(out)[0]["endpoint"] == endpoint
+
+    def test_edge_windows_sit_at_the_exact_endpoint(self):
+        code, out, err = run_main(["edge", "--model", "intensity", "--g", "0.5", "--kappa", "1e-6",
+                                   "--delta", "1e9", "--sector", "+", "--cutoffs", "20,40"])
+        assert code == 0, err
+        meta = dict(field.split("=", 1) for field in out.splitlines()[0][2:].split())
+        assert meta["endpoint"] == "-1e-06"
 
     def test_unconfirmed_closed_form_is_exit_two(self, monkeypatch):
         # an indicator that neither the float nor the exact sum confirms: one

@@ -177,16 +177,17 @@ class TestEdgeDensity:
     )
     def test_bench_ladder_counts_equal_the_numpy_path(self, monkeypatch, model, sector):
         # the critical half-lines of the edge benchmark at its cutoffs: the
-        # three-shift scalar pass counts as a numpy pass over the same section
+        # three-shift scalar ladder counts as numpy passes over each cutoff's
+        # section alone
         cutoffs, W = (10_000, 20_000), 5.0
         params, report = jacobi_params(model, sector), predicted_phase(model, sector)
         density = edge_density(params, report, cutoffs, W)
         ep = density.endpoint
         with monkeypatch.context() as patched:
             patched.setattr(tridiag, "_SCALAR_MAX_SHIFTS", 1)
-            below, at, above = tridiag._sturm_counts(
-                params.truncation(cutoffs[-1]), [ep - W, ep, ep + W], sizes=cutoffs
-            ).T
+            below, at, above = np.array([
+                tridiag._sturm_counts(params.truncation(c), [ep - W, ep, ep + W]) for c in cutoffs
+            ]).T
         lower, upper = tuple((at - below).tolist()), tuple((above - at).tolist())
         want = (upper, lower) if density.direction == "up" else (lower, upper)
         assert (density.essential_counts, density.complementary_counts) == want
