@@ -4,9 +4,11 @@ Emits deterministic CSV or JSON: fixed sector order, shortest round-trip
 float formatting, no timestamps.  Run metadata is confined to a single
 comment header line (CSV) or a "meta" object (JSON).
 
-Exit codes: 0 success, 1 usage or parameter-validation errors, 2 regime
-errors (degenerate parameters, unsupported classification regimes, and
-parameters where float64 cannot confirm the closed-form edge).
+Exit codes: 0 success, 1 usage or parameter-validation errors, results
+float64 cannot hold (a trace, indicator or a(n), b(n) that is inf or NaN,
+checked before anything prints) and an --out path that cannot be written, 2
+regime errors (degenerate parameters, unsupported classification regimes,
+and parameters where float64 cannot confirm the closed-form edge).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import fields
@@ -62,6 +65,8 @@ MAX_CUTOFF = 1_000_000
 MAX_DENSE_CUTOFF = 2_000
 
 _MODELS = {cls.name: cls for cls in MODEL_TYPES}
+# params evaluates its indices as int64
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # parameter names per model, in dataclass field order (also the meta order)
 _FIELDS = {name: tuple(f.name for f in fields(cls)) for name, cls in _MODELS.items()}
 # the value 'critical' of an option stands for exactly this
@@ -175,9 +180,8 @@ def _parse_index_range(text: str) -> range:
         lo = hi = int(text)
     if hi - lo >= MAX_PARAMS_ROWS:
         raise ValueError(f"--n {text!r} spans more than {MAX_PARAMS_ROWS} indices")
-    limits = np.iinfo(np.int64)
-    if lo < limits.min or hi > limits.max:
-        raise ValueError(f"--n {text!r} holds an index outside [{limits.min}, {limits.max}]")
+    if lo < _INT64_MIN or hi > _INT64_MAX:
+        raise ValueError(f"--n {text!r} holds an index outside [{_INT64_MIN}, {_INT64_MAX}]")
     return range(lo, hi + 1)
 
 
@@ -237,7 +241,13 @@ def _emit(meta: dict, header: list[str], rows: list[list], args: argparse.Namesp
 
 
 def _model_meta(model: ModelSpec) -> dict:
-    return {"model": model.name, **{f.name: getattr(model, f.name) for f in fields(model)}}
+    return {"model": model.name, **{p: getattr(model, p) for p in _FIELDS[model.name]}}
+
+
+def _check_finite(values, what: str, sector: SectorLabel) -> None:
+    # a float64 overflow (inf) or an undefined product (nan) must not print
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} of sector {sector} is not finite in float64 at these parameters")
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -250,6 +260,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     for sector in _select_sectors(model, args.sector):
         report = predicted_phase(model, sector)
         ind, hl = report.indicator, report.essential_spectrum
+        _check_finite([report.trace, ind.c1, ind.c0, hl.endpoint] if hl else [report.trace],
+                      "the trace or edge indicator", sector)
         rows.append([
             model.name, str(sector), report.trace, report.kind.value, report.notes,
             ind.c1 if ind else None, ind.c0 if ind else None,
@@ -266,11 +278,16 @@ def cmd_params(args: argparse.Namespace) -> int:
     header = ["model", "sector", "n", "a", "b"]
     rows = []
     idx = np.array(indices, dtype=np.int64)
-    for sector in _select_sectors(model, args.sector):
-        params = jacobi_params(model, sector)
-        # one array call per rule: the entries of a call per index, bit for bit
-        rows += ([model.name, str(sector), n, a, b]
-                 for n, a, b in zip(indices, params.a(idx).tolist(), params.b(idx).tolist()))
+    # an entry that overflows, or a negative index's sqrt, is checked, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sector in _select_sectors(model, args.sector):
+            params = jacobi_params(model, sector)
+            # one array call per rule: the entries of a call per index, bit for bit
+            a, b = params.a(idx).tolist(), params.b(idx).tolist()
+            _check_finite(a, "a(n)", sector)
+            _check_finite(b, "b(n)", sector)
+            label = str(sector)
+            rows += ([model.name, label, n, an, bn] for n, an, bn in zip(indices, a, b))
     meta = {"command": "params", **_model_meta(model), "n": args.n}
     _emit(meta, header, rows, args)
     return EXIT_OK
@@ -440,7 +457,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _REGIME_ERRORS as exc:
         print(f"rabi-spectra: regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"rabi-spectra: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,6 +25,7 @@ closed-form endpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple, Union
 
@@ -296,7 +297,8 @@ class TwoPhotonRabiStark(_Model):
                           HalfLine(-kap * self.delta / 2.0, "down"), -2.0)
         if abs(kap) > 1.0:
             return Regime("|kappa|>1", PhaseKind.EMPTY_ESSENTIAL)
-        circle = kap**2 + 4.0 * g**2
+        # products, not **: a float ** raises OverflowError where g * g is inf
+        circle = kap * kap + 4.0 * (g * g)
         if _critically_equal(circle, 1.0):
             endpoint = (kap**2 - 1.0 - kap * self.delta) / 2.0
             return Regime("kappa^2+4g^2=1", PhaseKind.CRITICAL_HALF_LINE,
@@ -340,14 +342,21 @@ class SectorLabel:
         raise ValueError(f"cannot parse sector label {text!r} (expected +, -, 0+, 0-, 1+ or 1-)")
 
 
+# the sector labels of each chain step, in enumeration order
+_SECTORS = {
+    step: tuple(SectorLabel(sign, mu) for mu in ((None,) if step == 1 else range(step))
+                for sign in (-1, 1))
+    for step in (1, 2)
+}
+
+
 def sectors(model: ModelSpec) -> tuple[SectorLabel, ...]:
     """Invariant sectors in fixed enumeration order.
 
     Two sectors (-, +) for step-1 chains (intensity-dependent); four
     (0-, 0+, 1-, 1+) for step-2 chains (the two-photon family).
     """
-    mus = (None,) if model.step == 1 else range(model.step)
-    return tuple(SectorLabel(sign, mu) for mu in mus for sign in (-1, 1))
+    return _SECTORS[model.step]
 
 
 def _check_sector(model: ModelSpec, sector: SectorLabel) -> None:
@@ -524,7 +533,9 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     the same float data (``exact_edge_indicator``), which keeps the
     anisotropic endpoint at large mean couplings and a small endpoint next
     to a large delta; if the check fails then, ``IndicatorMismatchError`` (a
-    RuntimeError) is raised.
+    RuntimeError) is raised.  A float indicator whose coefficients overflow
+    (inf or NaN) raises ValueError.  The trace of a non-critical sector is
+    reported as computed, and may be inf or NaN where the products overflow.
     """
     params = jacobi_params(model, sector)
     clause, kind, closed, trace = model.regime()
@@ -534,8 +545,13 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
 
     s, r = limit_sequences(params.modulation)
     indicator = edge_indicator(params.modulation, mono, s, r)
+    if not (math.isfinite(indicator.c1) and math.isfinite(indicator.c0)):
+        raise ValueError(
+            f"the edge indicator of {model.name} sector {sector} overflows float64 "
+            f"(c1 {indicator.c1!r}, c0 {indicator.c0!r})"
+        )
     halfline = essential_halfline(indicator)
-    tol = min(1e-9 * max(1.0, float(np.max(np.abs(r)))), 1e-6 * max(1.0, abs(closed.endpoint)))
+    tol = min(1e-9 * max(1.0, float(np.abs(r).max())), 1e-6 * max(1.0, abs(closed.endpoint)))
 
     def disagrees(h: HalfLine) -> bool:
         return h.direction != closed.direction or abs(h.endpoint - closed.endpoint) > tol

@@ -22,6 +22,7 @@ regularity hypothesis under which the classification applies).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,8 +52,9 @@ class PeriodicModulation:
         a_n = alpha_(n mod N) * sqrt((n + t)(n + s)),
         b_n = beta_(n mod N) * n + gamma_(n mod N),
 
-    with all alpha positive and t, s > 0.  Subscripts are read modulo N
-    throughout, so alpha_(-1) means alpha_(N-1).
+    with every entry finite, all alpha positive and t, s > 0 (a ValueError
+    otherwise).  Subscripts are read modulo N throughout, so alpha_(-1) means
+    alpha_(N-1).
     """
 
     alpha: np.ndarray
@@ -69,10 +71,16 @@ class PeriodicModulation:
             raise ValueError("alpha must be a non-empty 1-d sequence")
         if self.beta.shape != self.alpha.shape or self.gamma.shape != self.alpha.shape:
             raise ValueError("alpha, beta, gamma must share one period length")
-        if not np.all(self.alpha > 0.0):
-            raise ValueError("alpha entries must be strictly positive")
-        if not (self.t > 0.0 and self.s > 0.0):
-            raise ValueError("square-root offsets t and s must be strictly positive")
+        # finite data, checked on Python floats (a NaN fails every comparison)
+        if not all(0.0 < a < math.inf for a in self.alpha.tolist()):
+            raise ValueError(f"alpha entries must be strictly positive and finite, "
+                             f"got {self.alpha.tolist()}")
+        if not all(map(math.isfinite, self.beta.tolist() + self.gamma.tolist())):
+            raise ValueError(f"beta and gamma entries must be finite, got "
+                             f"{self.beta.tolist()} and {self.gamma.tolist()}")
+        if not (0.0 < self.t < math.inf and 0.0 < self.s < math.inf):
+            raise ValueError(f"square-root offsets t and s must be positive and finite, "
+                             f"got {self.t!r} and {self.s!r}")
 
     @property
     def period(self) -> int:
@@ -104,15 +112,25 @@ class PeriodicModulation:
 
         Each residue class is evaluated on its strided slice of the indices
         and of one growth factor, with no modulo or gather: the same IEEE
-        operations per entry as ``a`` and ``b``, so the same bits.
+        operations per entry as ``a`` and ``b``, so the same bits.  An entry
+        that overflows is inf, without a warning: ``SymTridiag`` rejects it.
         """
         n, step = np.arange(n_max, dtype=float), self.period
-        growth = self.sqrt_growth(n[:-1])
         b, a = np.empty(n_max), np.empty(n_max - 1)
-        for r in range(step):
-            b[r::step] = self._b(r, n[r::step])
-            a[r::step] = self._a(r, growth[r::step])
+        with np.errstate(over="ignore"):
+            growth = self.sqrt_growth(n[:-1])
+            for r in range(step):
+                b[r::step] = self._b(r, n[r::step])
+                a[r::step] = self._a(r, growth[r::step])
         return b, a
+
+
+def _transfer_matrices(mod: PeriodicModulation) -> list[np.ndarray]:
+    # T_0 .. T_(N-1), divided as Python floats: the IEEE divisions numpy makes
+    # on its scalars, without numpy's overflow warning
+    alpha, beta = mod.alpha.tolist(), mod.beta.tolist()
+    return [np.array([[0.0, 1.0], [-alpha[n - 1] / alpha[n], -beta[n] / alpha[n]]])
+            for n in range(len(alpha))]
 
 
 def transfer_matrix(mod: PeriodicModulation, n: int) -> np.ndarray:
@@ -121,22 +139,33 @@ def transfer_matrix(mod: PeriodicModulation, n: int) -> np.ndarray:
     Rows ((0, 1), (-alpha_(n-1)/alpha_n, -beta_n/alpha_n)); its determinant
     is alpha_(n-1)/alpha_n, which telescopes to 1 over a period.
     """
-    N = mod.period
-    a_prev = mod.alpha[(n - 1) % N]
-    a_cur = mod.alpha[n % N]
-    return np.array([[0.0, 1.0], [-a_prev / a_cur, -mod.beta[n % N] / a_cur]])
+    return _transfer_matrices(mod)[n % mod.period]
 
 
-def _one_period_product(mod: PeriodicModulation, start: int) -> np.ndarray:
-    out = np.eye(2)
-    for n in range(start, start + mod.period):
-        out = transfer_matrix(mod, n) @ out
-    return out
+def _period_products(mod: PeriodicModulation, starts) -> list[np.ndarray]:
+    """The one-period products T_(i+N-1) ... T_(i+1) T_i for each start i.
+
+    Each product is a chain of numpy matmuls, whose rounding printed traces
+    depend on.  numpy's matmul sums from +0.0, so a product with the identity
+    is its factor plus 0.0: the first factor gets that addition in place of
+    the product, which leaves every finite entry's bits as if the chain
+    started from the identity (its -0.0 becomes +0.0).  Overflow makes inf or
+    NaN entries, without a warning; callers check what they report.
+    """
+    ts, N = _transfer_matrices(mod), mod.period
+    products = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in starts:
+            out = ts[i] + 0.0
+            for n in range(i + 1, i + N):
+                out = ts[n % N] @ out
+            products.append(out)
+    return products
 
 
 def cyclic_monodromies(mod: PeriodicModulation) -> np.ndarray:
     """All N cyclic one-period products, shape (N, 2, 2); index i starts at step i."""
-    return np.array([_one_period_product(mod, i) for i in range(mod.period)])
+    return np.array(_period_products(mod, range(mod.period)))
 
 
 @dataclass(frozen=True)
@@ -166,13 +195,15 @@ def monodromy(mod: PeriodicModulation, critical_trace: float | None = None) -> M
     raised.  Criticality is a measure-zero condition, so it is never
     inferred from the floating-point trace alone.
     """
-    X0 = _one_period_product(mod, 0)
-    trace = float(X0[0, 0] + X0[1, 1])
+    (X0,) = _period_products(mod, (0,))
+    (x00, x01), (x10, x11) = X0.tolist()
+    trace = x00 + x11
     if critical_trace is not None:
         critical_trace = float(critical_trace)
         if critical_trace not in (2.0, -2.0):
             raise ValueError("critical_trace must be exactly +2.0 or -2.0")
-        if abs(trace - critical_trace) > 1e-9:
+        # a NaN trace (overflowed products) disagrees too
+        if not abs(trace - critical_trace) <= 1e-9:
             raise ValueError(
                 f"certified critical trace {critical_trace:+g} disagrees with the "
                 f"computed trace {trace!r}"
@@ -182,11 +213,11 @@ def monodromy(mod: PeriodicModulation, critical_trace: float | None = None) -> M
         sign = 0
     else:
         sign = 1 if trace > 0 else -1
-    scalar = min(
-        float(np.max(np.abs(X0 - np.eye(2)))),
-        float(np.max(np.abs(X0 + np.eye(2)))),
-    ) <= 1e-12
-    return Monodromy(X0, trace, sign, bool(scalar), critical_trace)
+    # +-identity within 1e-12 entrywise; a NaN entry fails every comparison
+    scalar = abs(x01) <= 1e-12 and abs(x10) <= 1e-12 and any(
+        abs(x00 - e) <= 1e-12 and abs(x11 - e) <= 1e-12 for e in (1.0, -1.0)
+    )
+    return Monodromy(X0, trace, sign, scalar, critical_trace)
 
 
 class PhaseKind(enum.Enum):
@@ -225,7 +256,8 @@ def limit_sequences(mod: PeriodicModulation) -> tuple[np.ndarray, np.ndarray]:
     (beta_n/alpha_n) a_n - b_n converges to r_n = (beta_n/2)(t+s) - gamma_n.
     Returns (s, r) for n = 0..N-1.
     """
-    s = np.roll(mod.alpha, 1)
+    alpha = mod.alpha.tolist()
+    s = np.array(alpha[-1:] + alpha[:-1])
     r = 0.5 * mod.beta * (mod.t + mod.s) - mod.gamma
     return s, r
 
@@ -260,7 +292,9 @@ def edge_indicator(
         (s_i / alpha_(i-1)) (1 - sign * M_i[1,1]) - ((x + r_i)/alpha_(i-1)) sign * M_i[2,1]
 
     where M_i is the cyclic monodromy starting at step i and sign is the
-    trace sign.  Only defined in the critical phase.
+    trace sign.  ``mono`` is ``monodromy(mod, ...)``: its matrix is M_0, so
+    only the other starts are formed here.  Only defined in the critical
+    phase.
     """
     if classify(mono) is not PhaseKind.CRITICAL_HALF_LINE:
         raise PhaseStateError("edge indicator is defined only in the critical phase")
@@ -270,12 +304,14 @@ def edge_indicator(
     r = np.asarray(r, dtype=float)
     if s.shape != (N,) or r.shape != (N,):
         raise ValueError("limit sequences must have one entry per period step")
+    alpha, s, r = mod.alpha.tolist(), s.tolist(), r.tolist()
     terms = []
-    for i, Xi in enumerate(cyclic_monodromies(mod)):
-        a_prev = mod.alpha[(i - 1) % N]
-        slope = -eps * Xi[1, 0] / a_prev
-        const = (s[i] / a_prev) * (1.0 - eps * Xi[0, 0]) - eps * (r[i] / a_prev) * Xi[1, 0]
-        terms.append((float(slope), float(const)))
+    for i, Xi in enumerate([mono.matrix, *_period_products(mod, range(1, N))]):
+        (x00, _), (x10, _) = Xi.tolist()
+        a_prev = alpha[i - 1]
+        slope = -eps * x10 / a_prev
+        const = (s[i] / a_prev) * (1.0 - eps * x00) - eps * (r[i] / a_prev) * x10
+        terms.append((slope, const))
     c1 = float(sum(t for t, _ in terms))
     c0 = float(sum(c for _, c in terms))
     return EdgeIndicator(c1, c0, tuple(terms))

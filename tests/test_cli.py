@@ -4,13 +4,16 @@ import argparse
 import csv
 import io
 import json
+import math
+import re
 import subprocess
 import sys
-from contextlib import nullcontext
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import SectorLabel, TwoPhoton, cli, models, modulation, predicted_phase, sectors
 from test_cli_golden import run_main
@@ -99,23 +102,24 @@ class TestParams:
         assert float(rows[0]["b"]) == 1.0
         assert float(rows[1]["b"]) == 0.0
 
-    @pytest.mark.parametrize("n", ["-4..12", "999990..1000001"])
+    @pytest.mark.parametrize("n", ["-4..-3", "-1..12", "999990..1000001"])
     def test_table_is_a_call_per_index(self, n):
         # the table evaluates each rule once over the range; a call per index
-        # is the reference, -0.0 and NaN (sqrt of a negative at n = -2) included
+        # is the reference, -0.0 (a = 0.3 sqrt(-0.0) at n = -3) included; n = -2
+        # (sqrt of a negative) is left out: a NaN exits 1 (test_nan_entry_exits_one)
         argv = ["params", "--model", "intensity", "--g", "0.3", "--delta", "1",
                 "--kappa", "1.5", f"--n={n}"]
-        with pytest.warns(RuntimeWarning) if n.startswith("-") else nullcontext():
-            code, out, _ = run_main(argv)
+        code, out, _ = run_main(argv)
         assert code == 0
         model = cli._build_model(cli._build_parser().parse_args(argv))
         want = []
-        with np.errstate(invalid="ignore"):
-            for sector in sectors(model):
-                params = models.jacobi_params(model, sector)
-                want += [[str(sector), str(i), repr(float(params.a(i))), repr(float(params.b(i)))]
-                         for i in cli._parse_index_range(n)]
+        for sector in sectors(model):
+            params = models.jacobi_params(model, sector)
+            want += [[str(sector), str(i), repr(float(params.a(i))), repr(float(params.b(i)))]
+                     for i in cli._parse_index_range(n)]
         assert [[r["sector"], r["n"], r["a"], r["b"]] for r in parse_csv(out)] == want
+        if n == "-4..-3":
+            assert [r["a"] for r in parse_csv(out)][1::2] == ["-0.0", "-0.0"]
 
 
     @pytest.mark.parametrize("n", ["9223372036854775808", "-9223372036854775809",
@@ -151,6 +155,20 @@ class TestSpectrum:
         assert code == 0 and len(parse_csv(out)) == 4 * 6
         code, out, err = run_main(argv + ["--g", "1e154"])
         assert (code, out) == (1, "") and "sqrt(float max)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "intensity", "--g", "1e300", "--delta", "-0.5", "--kappa", "1e17",
+         "--cutoff", "3"],
+        ["collapse", "--model", "intensity", "--delta=-1e-300", "--kappa", "1e154",
+         "--grid", "1e300,1e301", "--cutoff", "3", "-k", "5"],
+    ])
+    def test_section_entries_that_overflow_exit_one_without_a_warning(self, argv):
+        # a(n) overflows to inf while the section is built; it warned first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_main(argv)
+        assert (code, out) == (1, "") and "sqrt(float max)" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
     def test_bad_tol_is_exit_one(self, tol):
@@ -326,6 +344,130 @@ class TestExitCodesAndDeterminism:
                           "--out", str(out))
         assert to_file.returncode == 0
         assert out.read_text() == direct.stdout
+
+    def test_unwritable_out_is_exit_one(self, tmp_path):
+        # one error line where a FileNotFoundError traceback ended the run
+        out = tmp_path / "missing" / "table.csv"
+        code, stdout, err = run_main(["classify", "--model", "two-photon", "--g", "0.5",
+                                      "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("rabi-spectra: error: ") and str(out) in err
+        assert len(err.splitlines()) == 1
+        assert not out.parent.exists()
+
+
+class TestNonFiniteResults:
+    """A number float64 cannot hold exits 1 with one error line and prints nothing."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["classify", "--model", "rabi-stark", "--g", "0.5", "--delta",
+                      "0.5000000000000001", "--kappa", "1e154", "--sector", "1-"],
+                     "the trace or edge indicator of sector 1- is not finite", id="trace-inf"),
+        pytest.param(["classify", "--model", "two-photon", "--g", "5e-324", "--delta", "1e154",
+                      "--sector", "0+"],
+                     "the trace or edge indicator of sector 0+ is not finite", id="trace-nan"),
+        # every sector's product overflows (-inf from T_0 on, nan when it started from the identity)
+        pytest.param(["classify", "--model", "rabi-stark", "--delta=0.5", "--g=1e-300",
+                      "--kappa=1e+154"],
+                     "the trace or edge indicator of sector 0- is not finite", id="trace-overflow"),
+        pytest.param(["params", "--model", "two-photon", "--g", "1e300", "--delta", "-1e300",
+                      "--sector", "0+", "--n", "9007199254740993"],
+                     "a(n) of sector 0+ is not finite", id="a-inf"),
+        # sqrt((n + 1)(n + 3)) of a negative at n = -2
+        pytest.param(["params", "--model", "intensity", "--g", "0.3", "--delta", "1", "--kappa",
+                      "1.5", "--n=-4..12"],
+                     "a(n) of sector - is not finite", id="a-nan"),
+        # the product at a certified critical point overflows to a nan trace
+        pytest.param(["classify", "--model", "rabi-stark", "--kappa", "1", "--g", "5e-324"],
+                     "disagrees with the computed trace nan", id="critical-trace-nan"),
+        pytest.param(["classify", "--model", "rabi-stark", "--kappa", "1", "--g", "1e-300"],
+                     "the edge indicator of rabi-stark sector 0- overflows", id="indicator-inf"),
+        pytest.param(["edge", "--model", "rabi-stark", "--kappa", "1", "--g", "1e-300",
+                      "--delta", "1"],
+                     "the edge indicator of rabi-stark sector 0+ overflows",
+                     id="edge-indicator-inf"),
+        # s = 2 kappa = inf: the exact re-sum raised an OverflowError traceback
+        pytest.param(["classify", "--model", "intensity", "--g", "0.5", "--kappa", "1e308"],
+                     "t and s must be positive and finite", id="offset-inf"),
+    ])
+    def test_exits_one_with_one_error_line(self, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_main(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("rabi-spectra: error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_huge_stark_coupling_is_off_the_circle(self):
+        # kappa^2 + 4 g^2 overflowed in a float ** (OverflowError traceback)
+        code, out, err = run_main(["classify", "--model", "rabi-stark", "--g", "1e300",
+                                   "--delta=-1e300", "--kappa", "0.49999999999999994"])
+        assert code == 0, err
+        rows = parse_csv(out)
+        assert {(r["kind"], r["clause"]) for r in rows} == {
+            ("full-line-ac", "|kappa|<1, kappa^2+4g^2>1")}
+        code, out, err = run_main(["edge", "--model", "rabi-stark", "--g", "1e155",
+                                   "--kappa", "0.5", "--delta", "0"])
+        assert (code, out) == (2, "")
+        assert err.startswith("rabi-spectra: regime error: edge accumulation requires")
+
+
+# option values at the edges of float64, a few plain ones, and the preset
+_EDGE_VALUES = ("0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e154", "1e155", "1e300",
+                "-1e300", "nan", "inf", "-inf", "0.49999999999999994", "0.5000000000000001",
+                "critical", "0.3", "0.5", "1", "-1", "2")
+_ERROR_LINE = re.compile(r"rabi-spectra: (regime )?error: ")
+
+
+def _printed_numbers(out: str, fmt: str) -> list[float]:
+    """Every number in a classify or params output (meta included)."""
+    if fmt == "json":
+        payload = json.loads(out)
+        cells = [*payload["meta"].values(), *(v for row in payload["rows"] for v in row.values())]
+        return [float(v) for v in cells if isinstance(v, (int, float))]
+    meta, body = out.split("\n", 1)
+    cells = [field.split("=", 1)[1] for field in meta[2:].split(" ")]
+    cells += [cell for row in csv.reader(io.StringIO(body)) for cell in row]
+    numbers = []
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass
+    return numbers
+
+
+class TestArgvGrammar:
+    """classify and params over every model option and edge-of-float64 values."""
+
+    @given(
+        command=st.sampled_from(("classify", "params")),
+        model=st.sampled_from(tuple(cli._MODELS)),
+        values=st.fixed_dictionaries(
+            {p: st.none() | st.sampled_from(_EDGE_VALUES) for p in cli._PARAMS}),
+        own_only=st.booleans(),
+        on_circle=st.booleans(),
+        sector=st.sampled_from(("all", "+", "-", "0+", "0-", "1+", "1-")),
+        fmt=st.sampled_from(("csv", "json")),
+        n=st.sampled_from(("0..5", "-2..2", "9007199254740993", "9223372036854775807")),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_exit_code_and_output_are_as_documented(self, command, model, values, own_only,
+                                                   on_circle, sector, fmt, n):
+        argv = [command, "--model", model, f"--sector={sector}", f"--format={fmt}"]
+        argv += [f"{cli._flag(p)}={v}" for p, v in values.items()
+                 if v is not None and (p in cli._FIELDS[model] or not own_only)]
+        argv += ["--on-circle"] * on_circle + [f"--n={n}"] * (command == "params")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert out == ""
+            assert len(err.splitlines()) == 1 and _ERROR_LINE.match(err), err
+        else:
+            assert err == ""
+            assert all(map(math.isfinite, _printed_numbers(out, fmt)))
 
 
 class TestOptionValues:

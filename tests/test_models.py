@@ -353,6 +353,20 @@ class TestCriticalTrace:
         assert critical_trace(TwoPhoton(g=0.5 * (1 + 1e-13), delta=0)) == 2.0
         assert critical_trace(TwoPhoton(g=0.5 * (1 + 1e-9), delta=0)) is None
 
+    @pytest.mark.parametrize("g, kappa", [
+        (1e155, 0.5), (1e300, 0.49999999999999994), (1e300, -1.0 + 2e-12)])
+    def test_stark_circle_at_huge_coupling_is_off_it(self, g, kappa):
+        # g * g overflows to inf, where a float ** raised OverflowError
+        regime = TwoPhotonRabiStark(g=g, delta=-1e300, kappa=kappa).regime()
+        assert (regime.clause, regime.kind) == ("|kappa|<1, kappa^2+4g^2>1", PhaseKind.FULL_LINE_AC)
+        assert critical_trace(TwoPhotonRabiStark(g=g, delta=0.0, kappa=kappa)) is None
+
+    def test_stark_circle_keeps_its_relative_tolerance(self):
+        kappa = 0.6
+        g = float(np.sqrt(1.0 - kappa * kappa) / 2.0)
+        assert critical_trace(TwoPhotonRabiStark(g=g * (1 + 1e-13), delta=0, kappa=kappa)) == 2.0
+        assert critical_trace(TwoPhotonRabiStark(g=g * (1 + 1e-9), delta=0, kappa=kappa)) is None
+
 
 class TestPredictedPhase:
     def test_subcritical_two_photon(self):

@@ -5,6 +5,9 @@ forms the period-2 model reductions produce; they are asserted digit for
 digit at 1e-12 scale.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,14 @@ from rabi_spectra import (
     monodromy,
     stolz_increment_sums,
     transfer_matrix,
+)
+from rabi_spectra.models import (
+    AnisotropicTwoPhoton,
+    IntensityDependent,
+    TwoPhoton,
+    TwoPhotonRabiStark,
+    jacobi_params,
+    sectors,
 )
 
 
@@ -150,6 +161,111 @@ class TestMonodromy:
         )
         traces = [float(np.trace(X)) for X in cyclic_monodromies(mod)]
         assert max(traces) - min(traces) <= 1e-12 * max(1.0, abs(traces[0]))
+
+
+def _identity_started(mod: PeriodicModulation, start: int) -> np.ndarray:
+    # the reference product: from np.eye(2), each transfer matrix divided as
+    # numpy scalars and multiplied on by numpy's matmul
+    N, out = mod.period, np.eye(2)
+    for n in range(start, start + N):
+        a_prev, a_cur = mod.alpha[(n - 1) % N], mod.alpha[n % N]
+        out = np.array([[0.0, 1.0], [-a_prev / a_cur, -mod.beta[n % N] / a_cur]]) @ out
+    return out
+
+
+def _reference_indicator(mod: PeriodicModulation, eps: int) -> tuple[float, float, list]:
+    # edge_indicator's sum over the identity-started cyclic products
+    N = mod.period
+    s, r = np.roll(mod.alpha, 1), 0.5 * mod.beta * (mod.t + mod.s) - mod.gamma
+    terms = []
+    for i in range(N):
+        Xi, a_prev = _identity_started(mod, i), mod.alpha[(i - 1) % N]
+        slope = -eps * Xi[1, 0] / a_prev
+        const = (s[i] / a_prev) * (1.0 - eps * Xi[0, 0]) - eps * (r[i] / a_prev) * Xi[1, 0]
+        terms.append((float(slope), float(const)))
+    return float(sum(t for t, _ in terms)), float(sum(c for _, c in terms)), terms
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_products_match_identity_started(mod: PeriodicModulation) -> None:
+    """Where the reference is finite, every product entry, trace, indicator
+    term and endpoint has its bits, and the trace is finite exactly where the
+    reference's is.  An entry may be finite where the reference's is NaN: the
+    product with the identity multiplies an infinite entry by 0."""
+    N = mod.period
+    with np.errstate(all="ignore"):
+        refs = [_identity_started(mod, i) for i in range(N)]
+        ref_trace = float(refs[0][0, 0] + refs[0][1, 1])
+        for n in range(N + 1):
+            ref = np.array([[0.0, 1.0], [-mod.alpha[(n - 1) % N] / mod.alpha[n % N],
+                                         -mod.beta[n % N] / mod.alpha[n % N]]])
+            assert _bits(transfer_matrix(mod, n)) == _bits(ref)
+    mono = monodromy(mod)
+    for X, ref in zip([mono.matrix, *cyclic_monodromies(mod)], [refs[0], *refs]):
+        finite = np.isfinite(ref)
+        assert _bits(X[finite]) == _bits(ref[finite])
+    assert math.isfinite(mono.trace) == math.isfinite(ref_trace)
+    if math.isfinite(ref_trace):
+        assert _bits(mono.trace) == _bits(ref_trace)
+    np.testing.assert_array_equal(limit_sequences(mod)[0], np.roll(mod.alpha, 1))
+    if not all(np.isfinite(ref).all() for ref in refs):
+        return
+    for eps in (1, -1):
+        critical = replace(mono, trace_sign=eps, critical_trace=2.0 * eps,
+                           diagonalizable_at_pm2=False)
+        with np.errstate(all="ignore"):
+            c1, c0, terms = _reference_indicator(mod, eps)
+        ind = edge_indicator(mod, critical, *limit_sequences(mod))
+        assert _bits([ind.c1, ind.c0]) == _bits([c1, c0])
+        assert _bits(ind.terms) == _bits(terms)
+        if c1 != 0.0 and math.isfinite(c1) and math.isfinite(c0):
+            assert _bits(essential_halfline(ind).endpoint) == _bits(-c0 / c1)
+
+
+class TestIdentityStartedBits:
+    """The period products start from their first factor and reuse the
+    monodromy for start 0; these are the identity-started bits."""
+
+    def test_period_one_zero_entry_is_positive(self):
+        # beta = 0: T[1, 1] = -0.0, which a product with the identity makes +0.0
+        mod = PeriodicModulation(alpha=(1.0,), beta=(0.0,), gamma=(0.0,), t=1.0, s=1.0)
+        assert _bits(monodromy(mod).matrix) == _bits([[0.0, 1.0], [-1.0, 0.0]])
+        assert_products_match_identity_started(mod)
+
+    @pytest.mark.parametrize("g", [1e-300, 1e-150, 1e-8, 0.3, 0.5, 1e6, 1e154])
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.6, 0.5000000000000001])
+    def test_stark_sectors(self, g, kappa):
+        # |kappa| = 1 puts a beta entry of 0 in every sector
+        model = TwoPhotonRabiStark(g=g, delta=1.3, kappa=kappa)
+        for sector in sectors(model):
+            assert_products_match_identity_started(jacobi_params(model, sector).modulation)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8, 1e154])
+    def test_model_sectors_at_scaled_couplings(self, scale):
+        for model in (IntensityDependent(g=0.5 * scale, delta=1.0, kappa=scale),
+                      TwoPhoton(g=0.5 * scale, delta=-2.0),
+                      AnisotropicTwoPhoton(g_plus=scale, g_minus=0.25 * scale, delta=3.0),
+                      AnisotropicTwoPhoton(g_plus=0.25 * scale, g_minus=scale, delta=0.5)):
+            for sector in sectors(model):
+                assert_products_match_identity_started(jacobi_params(model, sector).modulation)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_random_modulations(self, seed):
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(1, 5))
+        # couplings log-uniform in [1e-300, 1e154]; beta is 0 at a quarter of the steps
+        alpha = 10.0 ** rng.uniform(-300.0, 154.0, N)
+        beta = rng.uniform(-3.0, 3.0, N) * 10.0 ** rng.uniform(-3.0, 3.0, N)
+        beta[rng.random(N) < 0.25] = 0.0
+        mod = PeriodicModulation(alpha=alpha, beta=beta, gamma=rng.uniform(-2.0, 2.0, N),
+                                 t=rng.uniform(0.1, 3.0), s=rng.uniform(0.1, 3.0))
+        assert_products_match_identity_started(mod)
+        # the same steps with couplings near 1, where the products stay finite
+        assert_products_match_identity_started(replace(mod, alpha=rng.uniform(0.2, 3.0, N)))
 
 
 class TestClassify:

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from rabi_spectra import (
     AnisotropicTwoPhoton,
@@ -30,6 +31,16 @@ from rabi_spectra.spectra import _lowest_sections
 from rabi_spectra.tridiag import _bisect_sections, default_bisect_tol
 
 from conftest import dense_eigenvalues, random_sym_tridiag
+
+# the six critical half-lines of the edge benchmark, one sector each
+BENCH_HALF_LINES = [
+    (TwoPhoton(g=0.5, delta=1.0), SectorLabel(1, 0)),
+    (IntensityDependent(g=0.5, delta=1.0, kappa=1.0), SectorLabel(-1)),
+    (AnisotropicTwoPhoton(g_plus=0.8, g_minus=0.2, delta=1.0), SectorLabel(-1, 1)),
+    (AnisotropicTwoPhoton(g_plus=1.3, g_minus=0.3, delta=1.0), SectorLabel(1, 1)),
+    (TwoPhotonRabiStark(g=0.4, delta=1.0, kappa=0.6), SectorLabel(-1, 0)),
+    (TwoPhotonRabiStark(g=0.7, delta=1.0, kappa=-1.0), SectorLabel(1, 0)),
+]
 
 
 class TestSpectrumScan:
@@ -164,17 +175,7 @@ class TestEdgeDensity:
         assert ladder.essential_counts == tuple(s.essential_counts[0] for s in singles)
         assert ladder.complementary_counts == tuple(s.complementary_counts[0] for s in singles)
 
-    @pytest.mark.parametrize(
-        "model, sector",
-        [
-            (TwoPhoton(g=0.5, delta=1.0), SectorLabel(1, 0)),
-            (IntensityDependent(g=0.5, delta=1.0, kappa=1.0), SectorLabel(-1)),
-            (AnisotropicTwoPhoton(g_plus=0.8, g_minus=0.2, delta=1.0), SectorLabel(-1, 1)),
-            (AnisotropicTwoPhoton(g_plus=1.3, g_minus=0.3, delta=1.0), SectorLabel(1, 1)),
-            (TwoPhotonRabiStark(g=0.4, delta=1.0, kappa=0.6), SectorLabel(-1, 0)),
-            (TwoPhotonRabiStark(g=0.7, delta=1.0, kappa=-1.0), SectorLabel(1, 0)),
-        ],
-    )
+    @pytest.mark.parametrize("model, sector", BENCH_HALF_LINES)
     def test_bench_ladder_counts_equal_the_numpy_path(self, monkeypatch, model, sector):
         # the critical half-lines of the edge benchmark at its cutoffs: the
         # three-shift scalar ladder counts as numpy passes over each cutoff's
@@ -193,6 +194,28 @@ class TestEdgeDensity:
         assert (density.essential_counts, density.complementary_counts) == want
         empty = edge_density(params, report, cutoffs, 0.0)
         assert empty.essential_counts == empty.complementary_counts == (0, 0)
+
+    @pytest.mark.parametrize("W", [3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("model, sector", BENCH_HALF_LINES)
+    def test_bench_ladder_counts_equal_stebz(self, model, sector, W):
+        # an independent oracle: LAPACK stebz counts the eigenvalues in
+        # (vl, vu], so the half-open [lo, hi) of edge_density is (vl, vu] with
+        # vl, vu the floats just below lo and hi
+        cutoffs = (10_000, 20_000)
+        params, report = jacobi_params(model, sector), predicted_phase(model, sector)
+        density = edge_density(params, report, cutoffs, W)
+        ep = density.endpoint
+
+        def stebz_count(m, lo, hi):
+            vl, vu = np.nextafter(lo, -np.inf), np.nextafter(hi, -np.inf)
+            return eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True, select="v",
+                                    select_range=(vl, vu), lapack_driver="stebz",
+                                    tol=vu - vl).size
+
+        lower = tuple(stebz_count(params.truncation(c), ep - W, ep) for c in cutoffs)
+        upper = tuple(stebz_count(params.truncation(c), ep, ep + W) for c in cutoffs)
+        want = (upper, lower) if density.direction == "up" else (lower, upper)
+        assert (density.essential_counts, density.complementary_counts) == want
 
     def test_zero_width_windows_are_empty(self):
         model = TwoPhoton(g=0.5, delta=1.0)
