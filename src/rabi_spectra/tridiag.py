@@ -10,20 +10,30 @@ strictly below each shift: an exact zero pivot is nudged positive
 (``_nudge``), which counts at lam - 0.  Its scalar path, which steps three
 shifts per row loop, then a pair, then one, its numpy path and a pass
 stacking equal-size sections make for each shift the same IEEE operations
-in the same order, so their counts are identical.  The scalar path does
-not step a shift at or below the lower Gershgorin bound whose every pivot
-a float-exact bound proves positive (``_gershgorin_certifies``): it counts
-0, as stepping would.  Only the scalar path counts a prefix ladder
-(``sizes``), the leading sections of one pass.  Both paths of a derivative
-pass make the same pivots and also carry their lam-derivatives; its slope
-differs between them only in the order of summation.
+in the same order, so their counts are identical.  Only the scalar path
+counts a prefix ladder (``sizes``), the leading sections of one pass.  Both
+paths of a derivative pass make the same pivots and also carry their
+lam-derivatives; its slope differs between them only in the order of
+summation.
 
-A numpy pass stops at a block end once each section's tail is certified:
+Count passes end early by one float-exact rule, row dominance
+(``_dominant``, after Barth, Martin & Wilkinson, Numer. Math. 9, 1967):
+row i is dominant at lam when u_i = fl(fl(b_i - lam) - fl(q_i / a_(i-1)))
+is at least the coupling a_i (positive on the last row).  Rounding is
+monotone, so once the pivot entering a suffix of dominant rows is at
+least the coupling into it, no later pivot is <= 0 at any shift <= lam.
+With the suffix starting at row 0 (``_gershgorin_certifies``) a shift is
+answered 0 without a step.  A solve's stack (``_Stack``) derives each
+section's suffix thresholds once, so R(lam), the first row of the
+dominant suffix at lam, is a binary search; one-off counts (``edge``'s
+ladder, ``sturm_count``) build none and test rows directly.  Its scalar
+lanes stop at R where every pivot there clears the coupling.  A numpy
+count pass stops at a block end once each section's tail is certified:
 the recurrence walked in Python floats at its largest shift from its
-least carried pivot (``_pivot_floor``) stays positive to the last row.
-Rounded (b - lam) - q / d is nondecreasing in d > 0 and nonincreasing in
-lam, so every shift's pivot stays at or above the walk's and no later
-count changes.
+least carried pivot (``_pivot_floor``) reaches R at or above the coupling
+into it, or stays positive to the last row.  Rounded (b - lam) - q / d is
+nondecreasing in d > 0 and nonincreasing in lam, so every shift's pivot
+stays at or above the walk's and no later count changes.
 
 Bisection keeps the bits of the one-level loop, which counts at every
 bracket's midpoint, by one rule.  Counts are monotone in the shift, so for
@@ -62,6 +72,10 @@ _NUMPY_ROW_STEPS = 1200
 
 # elements of one numpy block of rows x shifts (256 KB of float64)
 _BLOCK_ELEMS = 1 << 15
+
+# most rows of a block of a count pass that a dominant suffix can end, so
+# its tails are checked at least this often
+_TAIL_ROWS = 36
 
 # derivative passes of a located solve and their shifts per target (medians
 # 6 and 3.65 on full 1000-row spectra when priced; CHANGES.md), and the most passes it takes
@@ -169,8 +183,10 @@ class TruncatedSpectrum:
 class _Stack(tuple):
     """The tuple of equal-size sections that every Sturm pass of one solve counts.
 
-    It keeps what the passes would rebuild: memoryviews of each section's rows
-    and ``numpy_rows``.
+    It keeps what the passes would rebuild: memoryviews of each section's
+    rows, ``numpy_rows`` and, built on a solve's first pass that reads them,
+    the ``dominance`` thresholds.  A section or list handed to
+    ``_sturm_counts`` is wrapped for that call alone and builds none.
     """
 
     def __new__(cls, sections):
@@ -181,18 +197,57 @@ class _Stack(tuple):
 
     @functools.cached_property
     def numpy_rows(self):
-        """Read-only diagonal and squared couplings as a numpy pass steps them.
+        """Read-only (n, G, 1) diagonal and squared couplings as a numpy pass steps them.
 
-        One section gives an (n, 1) diagonal and Python-float couplings, G
-        sections an (n, G, 1) diagonal and a (G, 1) coupling column per row.
+        One section gives an (n, 1) diagonal and its 1-d squared couplings,
+        which the pass reads as Python floats a block at a time.
         """
         if len(self) == 1:
-            return self[0].diag[:, None], self[0]._off_sq.tolist()
+            return self[0].diag[:, None], self[0]._off_sq
         diag = np.stack([s.diag for s in self], axis=1)[:, :, None]
         off = np.stack([s._off_sq for s in self], axis=1)[:, :, None]
         diag.setflags(write=False)
         off.setflags(write=False)
-        return diag, list(off)
+        return diag, off
+
+    @functools.cached_property
+    def dominance(self):
+        """(G, n + 1) suffix thresholds: rows R.. of section g are dominant at every lam <= [g, R].
+
+        Row i is dominant at lam where ``_dominant`` holds, which is
+        nonincreasing in lam.  Each row's greatest such shift is estimated a
+        few ulps low and moved down until its test holds (-inf where it
+        never does), and [g, R] is their least over rows R..n - 1, with
+        [g, n] = inf.  Nondecreasing in R, so the dominant suffix at lam
+        starts at row searchsorted([g], lam).  Rows are taken
+        ``_BLOCK_ELEMS`` at a time, so no temporary outgrows a block.
+        """
+        n = self[0].n_max
+        table = np.empty((len(self), n + 1))
+        table[:, n] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g, m in enumerate(self):
+                for lo in range(0, n, _BLOCK_ELEMS):
+                    rows = slice(lo, min(n, lo + _BLOCK_ELEMS))
+                    floor = np.full(rows.stop - lo, math.ulp(0.0))
+                    floor[: m.offdiag[rows].size] = m.offdiag[rows]
+                    # u_i - a_i at lam = 0, one step of slack below
+                    top = _row_bounds(m, 0.0, rows) - floor
+                    slack = 4.0 * _EPS * (np.abs(m.diag[rows]) + np.abs(top) + floor)
+                    top -= slack
+                    for _ in range(4):
+                        held = _dominant(m, top, rows)
+                        if held.all():
+                            break
+                        top = np.where(held, top, top - slack)
+                        slack *= 2.0
+                    else:
+                        top[~_dominant(m, top, rows)] = -np.inf
+                    table[g, rows] = top
+                suffix = table[g, n - 1 :: -1]
+                np.minimum.accumulate(suffix, out=suffix)
+        table.setflags(write=False)
+        return table
 
 
 def _sturm_counts(m, lams, sizes=None, slopes=False):
@@ -200,34 +255,51 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
 
     Runs the LDL^T recurrence d_i = (diag_i - lam) - off_(i-1)^2 / d_(i-1) and
     counts the negative d_i.  ``m`` is one section with a 1-d ``lams``, or G
-    sections of equal size (the solve's ``_Stack`` keeps their rows across
-    passes) with ``lams`` of shape (G, S), one row per
-    section; the result then gains a section axis.  With ``sizes`` (strictly
-    increasing in [1, n_max]) row j counts the leading sizes[j] x sizes[j]
-    section; a ladder takes no ``slopes``.
+    sections of equal size with ``lams`` of shape (G, S), one row per
+    section; the result then gains a section axis.  A solve passes its
+    ``_Stack``, which keeps the sections' rows and dominance thresholds
+    across passes.  With ``sizes`` (strictly increasing in [1, n_max]) row j
+    counts the leading sizes[j] x sizes[j] section; a ladder takes no
+    ``slopes``.
 
     Fewer than ``_SCALAR_MAX_SHIFTS`` shifts, and a ladder of any width, run
-    as Python-float loops.  A shift at or below the section's lower Gershgorin
-    bound that ``_gershgorin_certifies`` decides is not stepped: it counts 0
-    at every stop.  The others step three per row loop (``_three_lanes``), a
-    pair left over in one loop (``_two_lanes``) and a single one alone
-    (``_one_lane``); the first two test the row's pivots once for a sign
-    <= 0 before nudging or counting any.  More shifts run as one numpy pass
-    over blocks of ``_BLOCK_ELEMS // lams.size`` rows.  At a block end the
-    first zero-pivot row is nudged and the rows after it are stepped again,
-    and tails are checked once each uncertified section has a positive
-    pivot at its largest shift and is past the row its last walk failed on.
+    as Python-float loops.  A shift that a dominant section answers is not
+    stepped: it counts 0 at every stop.  Without a solve's stack that is a
+    shift at or below the lower Gershgorin bound that
+    ``_gershgorin_certifies`` decides; on one it is a shift at or below the
+    section's first ``dominance`` threshold.  The others step three per row
+    loop (``_three_lanes``), a pair left over in one loop (``_two_lanes``)
+    and a single one alone (``_one_lane``); the first two test the row's
+    pivots once for a sign <= 0 before nudging or counting any.  On a
+    solve's stack without a ladder they stop at the row R where the
+    section's dominant suffix at its largest stepped shift starts, if every
+    pivot there is at least a_(R-1).
+
+    More shifts run as one numpy pass over blocks of rows x shifts: one
+    section divides by Python-float couplings, G sections step contiguous
+    (G S) rows and divide by a per-block coupling block.  At a block end
+    the first zero-pivot row is nudged and the rows after it are stepped
+    again.  A count pass on a solve's stack where some section has a
+    dominant suffix at its largest shift takes blocks of at most
+    ``_TAIL_ROWS`` rows.  A count pass checks tails once each uncertified
+    section has a positive pivot at its largest shift and is past the row
+    its last check failed on: a section's tail is certified when its least
+    carried pivot, walked in Python floats at its largest shift
+    (``_pivot_floor``) up to the start R of its dominant suffix on a
+    solve's stack or to the last row without one, ends at or above
+    a_(R-1), or positive on the last row.
 
     With ``slopes`` the pass also returns d/dlam log|det(T - lam)| = sum of
     d'_i / d_i of the section at each shift, shaped like the counts.  Fewer
     than ``_SCALAR_MAX_SHIFTS`` shifts run as Python-float loops, more as
-    numpy with the derivative rows sharing the block budget; neither checks
-    tails.  Both make the count pass's IEEE operations for the pivots, so
-    its counts, and the same ones for each ratio; the loops sum a slope row
-    by row, numpy block by block.
+    numpy with the derivative rows sharing the ``_BLOCK_ELEMS`` budget;
+    neither checks tails.  Both make the count pass's IEEE operations for
+    the pivots, so its counts, and the same ones for each ratio; the loops
+    sum a slope row by row, numpy block by block.
     """
     stacked = not isinstance(m, SymTridiag)
-    stack = m if isinstance(m, _Stack) else _Stack(m if stacked else (m,))
+    solve = isinstance(m, _Stack)
+    stack = m if solve else _Stack(m if stacked else (m,))
     lams = np.asarray(lams, dtype=float)
     n = stack[0].n_max
     if lams.shape[:-1] != ((len(stack),) if stacked else ()) or any(
@@ -242,23 +314,38 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
         raise ValueError(f"sizes must increase strictly within [1, {n}]")
     if sizes is not None and slopes:
         raise ValueError("a derivative pass steps the whole section: sizes take no slopes")
+    # where each section's dominant suffix starts, on a solve's stack; a ladder reads every row
+    cuts = stack.dominance if solve and sizes is None and not slopes else None
 
     counts = np.empty((len(stops), *lams.shape), dtype=np.int64)
     if not slopes and (lams.size < _SCALAR_MAX_SHIFTS or sizes is not None):
         for g, (section, (diag_v, off_v)) in enumerate(zip(stack, stack.views)):
-            glo = section.gershgorin()[0]
-            out, lanes = counts[:, g], []
-            for k, lam in enumerate(lams[g].tolist()):
-                # a shift below the section counts nothing at every stop
-                if lam <= glo and _gershgorin_certifies(section, lam):
+            row, out, lanes = lams[g].tolist(), counts[:, g], []
+            if cuts is None:
+                glo = section.gershgorin()[0]
+                first = [0 if lam <= glo and _gershgorin_certifies(section, lam) else n
+                         for lam in row]
+            else:
+                first = np.searchsorted(cuts[g], lams[g]).tolist()
+            # a shift whose every row is dominant counts nothing at every stop
+            for k, (lam, r) in enumerate(zip(row, first)):
+                if r == 0:
                     out[:, k] = 0
                 else:
                     lanes += k, lam
+            stop_at, floor = stops, math.nan
+            cut = max((first[k] for k in lanes[::2]), default=n)
+            if cut < n:
+                # pivots at or above a_(cut-1) change no count after the cut; the
+                # lanes fill a row for the cut and one for the last row
+                stop_at, floor = [cut, n], section.offdiag.item(cut - 1)
+                out = np.zeros((2, len(row)), dtype=np.int64)
             # three lanes per row loop, then a pair, then one, each filling its columns of out
             for i in range(0, len(lanes), 6):
                 group = lanes[i : i + 6]  # (column, shift) pairs
                 loop = (_one_lane, _two_lanes, _three_lanes)[len(group) // 2 - 1]
-                loop(diag_v, off_v, stops, out, *group)
+                loop(diag_v, off_v, stop_at, out, *group, floor=floor)
+            counts[-1, g] = out[-1]
     elif lams.size < _SCALAR_MAX_SHIFTS:
         # the numpy derivative row loop's operations, one shift at a time
         slope = np.empty(lams.shape)
@@ -277,67 +364,80 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
                 counts[0, g, k] = count
                 slope[g, k] = total
     else:
-        # a row of pivots is (G, S) and divides by a (G, 1) coupling column; one
-        # section keeps 1-d rows and divides by Python floats, cheaper per row
+        # pivot rows are flat (G S); one section divides them by Python
+        # floats, G sections by a coupling block filled once per block
         diag, off = stack.numpy_rows
-        shifts = lams[0] if len(stack) == 1 else lams
+        blocked = len(stack) > 1
+        shifts, width = lams if blocked else lams[0], lams.size
+        # per section: its carried pivots, the flat index of its largest shift
+        # (in lams and carry alike), the row from which its tail may be
+        # checked and where its dominant suffix at that shift starts
+        tops = (lams.argmax(axis=1) + lams.shape[1] * np.arange(len(stack))).tolist()
+        retry, uncertified = [0] * len(stack), list(range(len(stack)))
+        ends = [n] * len(stack) if cuts is None else [
+            int(np.searchsorted(cuts[g], lams.item(top))) for g, top in enumerate(tops)]
         # no block outgrows the section, so neither does the buffer; derivative
-        # rows share the block budget with the pivots
-        rows = max(1, min(n, _BLOCK_ELEMS // (lams.size * (2 if slopes else 1))))
-        height = 2 * rows + 4 if slopes else rows + 2
-        # the blocks, the carried rows and the quotient rows share one allocation
-        # that starts on a 64-byte boundary: where the block started moved the
-        # time of a pass by up to 7 % from one process to the next
-        raw = np.empty(height * lams.size + 7)
-        work = raw[(-raw.ctypes.data % 64) // 8 :][: height * lams.size]
-        work = work.reshape(height, *shifts.shape)
+        # and coupling rows share the block budget with the pivots, and a pass
+        # that a dominant suffix can end checks tails at least every _TAIL_ROWS rows
+        rows = max(1, min(n, _BLOCK_ELEMS // (width * (1 + slopes + blocked))))
+        rows = min(rows, _TAIL_ROWS) if min(ends) < n else rows
+        height = rows + 2 + (rows + 2 if slopes else 0) + (rows if blocked else 0)
+        # the blocks, the carried rows, the quotient rows and the coupling block
+        # share one allocation that starts on a 64-byte boundary: where the block
+        # started moved the time of a pass by up to 7 % from one process to the next
+        raw = np.empty(height * width + 7)
+        work = raw[(-raw.ctypes.data % 64) // 8 :][: height * width].reshape(height, width)
         buf, carry, t = work[:rows], work[rows], work[rows + 1]
         carry.fill(np.inf)
         row_views = list(buf)  # once per pass, not once per block
         if slopes:
             # ratios r_i = d'_i / d_i of the pivots' lam-derivatives, from
             # d'_i = t_i r_(i-1) - 1 with t_i = q_i / d_(i-1) and r_(-1) = 0
-            rbuf, rcarry, w = work[rows + 2 : 2 * rows + 2], work[-2], work[-1]
+            rbuf, rcarry, w = work[rows + 2 : 2 * rows + 2], work[2 * rows + 2], work[2 * rows + 3]
             rcarry.fill(0.0)
-            ratio_views, slope = list(rbuf), np.zeros(shifts.shape)
-        count, start = np.zeros(shifts.shape, np.int64), 0
-        # per section: its carried pivots, the flat index of its largest shift
-        # (in lams and carry alike) and the row from which its tail may be checked
-        carries = carry.reshape(lams.shape)
-        tops = (lams.argmax(axis=1) + lams.shape[1] * np.arange(len(stack))).tolist()
-        retry, uncertified = [0] * len(stack), list(range(len(stack)))
+            ratio_views, slope, one = list(rbuf), np.zeros(width), np.ones(())
+        if blocked:
+            qbuf = work[height - rows :]
+            q_views = list(qbuf)
+        count, start, carries = np.zeros(width, np.int64), 0, carry.reshape(lams.shape)
         # q / d overflows where a shift sits a subnormal step from a pivot,
         # and rows after a zero pivot divide by it until the block is checked
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while start < n:
                 block = buf[: n - start]
                 end = start + len(block)
-                np.subtract(diag[start:end], shifts, out=block)
+                np.subtract(diag[start:end], shifts, out=block.reshape(len(block), *shifts.shape))
+                if blocked:
+                    np.copyto(qbuf[: len(block)].reshape(len(block), *lams.shape), off[start:end])
+                    qs = q_views[: len(block)]
+                else:
+                    qs = off[start:end].tolist()
                 d = carry
                 # zip stops at the block's last row
                 if slopes:
                     r = rcarry
-                    for row, ratio, q in zip(row_views, ratio_views, off[start:end]):
+                    for row, ratio, q in zip(row_views, ratio_views, qs):
                         np.divide(q, d, out=t)
                         np.subtract(row, t, out=row)
                         np.multiply(t, r, out=w)
-                        np.subtract(w, 1.0, out=w)
+                        np.subtract(w, one, out=w)
                         np.divide(w, row, out=ratio)
                         d, r = row, ratio
                 else:
-                    for row, q in zip(row_views, off[start:end]):
+                    for row, q in zip(row_views, qs):
                         np.divide(q, d, out=t)
                         np.subtract(row, t, out=row)
                         d = row
                 zero = block == 0.0
                 if zero.any():
                     # nudge the first zero pivot row, drop the rows after it
-                    z = int(np.argmax(zero.reshape(len(zero), -1).any(axis=1)))
-                    block[z] = np.where(zero[z], _nudge(diag[start + z], shifts), block[z])
+                    z = int(np.argmax(zero.any(axis=1)))
+                    block[z] = np.where(zero[z], _nudge(diag[start + z], shifts).ravel(), block[z])
                     block = block[: z + 1]
                     if slopes:  # the ratio of the nudged row, as the row loop forms it
                         d, r = (buf[z - 1], rbuf[z - 1]) if z else (carry, rcarry)
-                        rbuf[z] = ((off[start + z] / d) * r - 1.0) / block[z]
+                        q = qbuf[z] if blocked else off[start + z]
+                        rbuf[z] = ((q / d) * r - 1.0) / block[z]
                 # uint16 holds the sum: a block has at most _BLOCK_ELEMS < 2**16 rows
                 count += (block < 0).sum(axis=0, dtype=np.uint16)
                 np.copyto(carry, block[-1])
@@ -353,29 +453,32 @@ def _sturm_counts(m, lams, sizes=None, slopes=False):
                 ):
                     while uncertified:
                         g = uncertified.pop()
-                        diag_v, off_v = stack.views[g]
-                        walked, bound = _pivot_floor(zip(diag_v[start:], off_v[start:]),
+                        cut = max(start, ends[g])
+                        walked, bound = _pivot_floor(*stack.views[g], start, cut,
                                                      carries[g].min().item(), lams.item(tops[g]))
-                        if not 0.0 < bound < np.inf:
+                        # at or above a_(cut-1) before a dominant suffix, or positive on the last row
+                        if not (0.0 < bound < np.inf
+                                and (cut == n or bound >= stack[g].offdiag.item(cut - 1))):
                             # checked again, and first, once past the failing row
                             retry[g] = start + walked
                             uncertified.append(g)
                             break
                     else:
                         start = n  # every count stays as it is
-        counts[0] = count
+        counts[0] = count.reshape(lams.shape)
     if not stacked:
         counts = counts[:, 0]
     counts = counts[0] if sizes is None else counts
     return (counts, slope.reshape(lams.shape if stacked else -1)) if slopes else counts
 
 
-def _three_lanes(diag_v, off_v, stops, out, k0, l0, k1, l1, k2, l2):
+def _three_lanes(diag_v, off_v, stops, out, k0, l0, k1, l1, k2, l2, floor=math.nan):
     """Count shifts l0, l1 and l2 into columns k0, k1 and k2 of ``out`` (one row per stop).
 
     One row loop steps all three, each making the one-shift loop's
     operations (``_one_lane``); the row's pivots are tested once for a
-    sign <= 0 before any is nudged or counted.
+    sign <= 0 before any is nudged or counted.  Where every pivot at a stop
+    is at least ``floor``, the later stops take its counts unstepped.
     """
     d0 = d1 = d2 = np.inf
     c0 = c1 = c2 = start = 0
@@ -398,11 +501,14 @@ def _three_lanes(diag_v, off_v, stops, out, k0, l0, k1, l1, k2, l2):
                     d2 = _nudge(b, l2)
                 elif d2 < 0.0:
                     c2 += 1
+        if d0 >= floor and d1 >= floor and d2 >= floor:
+            out[j:, k0], out[j:, k1], out[j:, k2] = c0, c1, c2
+            return
         out[j, k0], out[j, k1], out[j, k2] = c0, c1, c2
         start = stop
 
 
-def _two_lanes(diag_v, off_v, stops, out, k0, l0, k1, l1):
+def _two_lanes(diag_v, off_v, stops, out, k0, l0, k1, l1, floor=math.nan):
     """``_three_lanes`` for two shifts."""
     d0 = d1 = np.inf
     c0 = c1 = start = 0
@@ -419,11 +525,14 @@ def _two_lanes(diag_v, off_v, stops, out, k0, l0, k1, l1):
                     d1 = _nudge(b, l1)
                 elif d1 < 0.0:
                     c1 += 1
+        if d0 >= floor and d1 >= floor:
+            out[j:, k0], out[j:, k1] = c0, c1
+            return
         out[j, k0], out[j, k1] = c0, c1
         start = stop
 
 
-def _one_lane(diag_v, off_v, stops, out, k, lam):
+def _one_lane(diag_v, off_v, stops, out, k, lam, floor=math.nan):
     """Count shift ``lam`` into column k of ``out``: the Sturm recurrence in Python floats."""
     d, count, start = np.inf, 0, 0
     for j, stop in enumerate(stops):
@@ -433,39 +542,67 @@ def _one_lane(diag_v, off_v, stops, out, k, lam):
                 d = _nudge(b, lam)
             if d < 0.0:
                 count += 1
+        if d >= floor:
+            out[j:, k] = count
+            return
         out[j, k] = count
         start = stop
 
 
-def _gershgorin_certifies(m, lam):
-    """Whether every pivot of ``m`` at ``lam`` is provably positive, so nothing counts below ``lam``.
+def _row_bounds(m, lam, rows=slice(None)):
+    """u_i = fl(fl(diag_i - lam) - fl(q_i / a_(i-1))) of each of ``m``'s ``rows`` (a step-1 slice).
 
-    With a_i the coupling of rows i and i + 1 and q_i = fl(a_(i-1)^2), and
-    as rounding is monotone, a pivot d_(i-1) >= a_(i-1) > 0 gives
-    fl(q_i / d_(i-1)) <= fl(q_i / a_(i-1)) and d_i >= u_i =
-    fl((diag_i - lam) - fl(q_i / a_(i-1))), with u_0 = diag_0 - lam = d_0.
-    So u_i >= a_i on every row but the last and u > 0 on it prove every
-    pivot at least a_i > 0, with neither a count nor a nudge: the loops' own
-    count of 0, without stepping them.
+    a_i is the coupling of rows i and i + 1 and q_i = fl(a_(i-1)^2); row 0
+    subtracts nothing.  ``lam`` is one shift or one per row.
     """
+    lo, hi, _ = rows.indices(m.n_max)
+    inner = max(lo, 1)
     # an overflowing bound rounds to inf, which still bounds the pivot
     with np.errstate(over="ignore"):
-        u = m.diag - lam
-        u[1:] -= m._off_sq[1:] / m.offdiag
-    return bool(u[-1] > 0.0 and (u[:-1] >= m.offdiag).all())
+        u = m.diag[lo:hi] - lam
+        u[inner - lo :] -= m._off_sq[inner:hi] / m.offdiag[inner - 1 : hi - 1]
+    return u
 
 
-def _pivot_floor(rows, d, lam):
-    """Walk a lower bound on the pivots of every shift <= ``lam`` over ``rows``.
+def _dominant(m, lam, rows=slice(None)):
+    """Whether each of ``m``'s ``rows`` is dominant at ``lam``: u_i >= a_i, u > 0 on the last row.
 
-    ``rows`` yields (diag_i, off_(i-1)^2) after the carried pivots, whose least
-    is ``d``.  Stops at the first bound (``d`` included) that is not positive
-    and finite; returns the rows walked and the last bound.
+    u_i is ``_row_bounds``'s.  Rounding is monotone, so a pivot d_(i-1) >= a_(i-1) > 0 gives
+    fl(q_i / d_(i-1)) <= fl(q_i / a_(i-1)) and d_i >= u_i at every shift
+    <= lam.  So once the pivot entering a suffix of dominant rows is at
+    least the coupling into it, every later pivot is at least its a_i > 0
+    (the last one positive), with neither a count nor a nudge.  u_i, and so
+    dominance, is nonincreasing in lam.
+    """
+    lo, hi, _ = rows.indices(m.n_max)
+    coupled = max(lo, min(hi, m.n_max - 1))
+    u = _row_bounds(m, lam, rows)
+    held = np.empty(hi - lo, dtype=bool)
+    np.greater_equal(u[: coupled - lo], m.offdiag[lo:coupled], out=held[: coupled - lo])
+    np.greater(u[coupled - lo :], 0.0, out=held[coupled - lo :])
+    return held
+
+
+def _gershgorin_certifies(m, lam):
+    """Whether every row of ``m`` is dominant at ``lam`` (``_dominant``), so nothing counts below it.
+
+    The pivot entering row 0 is d_(-1) = inf: the loops' own count of 0,
+    without stepping them.
+    """
+    return bool(_dominant(m, lam).all())
+
+
+def _pivot_floor(diag_v, off_v, start, stop, d, lam):
+    """Walk a lower bound on the pivots of every shift <= ``lam`` over rows start..stop - 1.
+
+    ``d`` is the least pivot carried into row ``start``.  Stops at the first
+    bound (``d`` included) that is not positive and finite; returns the rows
+    walked and the last bound.
     """
     # a local inf: the loop is the walk's whole cost, and np.inf is two lookups a row
     walked, inf = 0, math.inf
     if 0.0 < d < inf:
-        for b, q in rows:
+        for b, q in zip(diag_v[start:stop], off_v[start:stop]):
             d = (b - lam) - q / d
             walked += 1
             if not 0.0 < d < inf:
@@ -520,9 +657,11 @@ def eigenvalues_bisect(m: SymTridiag, window: tuple[float, float] | None = None,
     if hi <= lo:
         return TruncatedSpectrum(np.empty(0), m.n_max, tol, (lo, hi))
 
-    first, end = _sturm_counts(m, [lo, hi])
+    # the window's count is the solve's first pass over its stack
+    stack = _Stack([m])
+    first, end = _sturm_counts(stack, [[lo, hi]])[0]
     stop = end if k is None else min(end, first + k)
-    eigs = _bisect_sections([m], [lo], [hi], [first], [stop], [tol])[0]
+    eigs = _bisect_sections(stack, [lo], [hi], [first], [stop], [tol])[0]
     return TruncatedSpectrum(eigs, m.n_max, tol, (lo, hi))
 
 

@@ -416,6 +416,8 @@ class TestNonFiniteResults:
 _EDGE_VALUES = ("0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e154", "1e155", "1e300",
                 "-1e300", "nan", "inf", "-inf", "0.49999999999999994", "0.5000000000000001",
                 "critical", "0.3", "0.5", "1", "-1", "2")
+# the values argparse reads as floats; "-inf" on its own reads as an option
+_FLOAT_VALUES = tuple(v for v in _EDGE_VALUES if v != "critical")
 _ERROR_LINE = re.compile(r"rabi-spectra: (regime )?error: ")
 
 
@@ -438,7 +440,7 @@ def _printed_numbers(out: str, fmt: str) -> list[float]:
 
 
 class TestArgvGrammar:
-    """classify and params over every model option and edge-of-float64 values."""
+    """Every subcommand over every model option and edge-of-float64 values."""
 
     @given(
         command=st.sampled_from(("classify", "params")),
@@ -467,6 +469,56 @@ class TestArgvGrammar:
             assert len(err.splitlines()) == 1 and _ERROR_LINE.match(err), err
         else:
             assert err == ""
+            assert all(map(math.isfinite, _printed_numbers(out, fmt)))
+
+    @given(
+        command=st.sampled_from(("spectrum", "collapse", "edge", "verify-decomp")),
+        model=st.sampled_from(tuple(cli._MODELS)),
+        values=st.fixed_dictionaries(
+            {p: st.none() | st.sampled_from(_EDGE_VALUES) for p in cli._PARAMS}),
+        own_only=st.booleans(),
+        on_circle=st.booleans(),
+        sector=st.sampled_from(("default", "all", "+", "-", "0+", "0-", "1+", "1-")),
+        fmt=st.sampled_from(("csv", "json")),
+        cutoff=st.sampled_from((1, 2, 3, 10, 40)),
+        # argparse reads --window, --tol and --window-width as floats: other
+        # text is its usage error, not the program's
+        window=st.none() | st.lists(st.sampled_from(tuple(v for v in _FLOAT_VALUES if v != "-inf")),
+                                    min_size=2, max_size=2),
+        tol=st.none() | st.sampled_from(_FLOAT_VALUES),
+        grid=st.lists(st.sampled_from(_EDGE_VALUES), min_size=1, max_size=3),
+        k=st.sampled_from((1, 2, 5, 40)),
+        cutoffs=st.sampled_from(("2,3", "10,40", "40", "3,2", "1")),
+        width=st.none() | st.sampled_from(_FLOAT_VALUES),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_solver_commands_exit_and_print_as_documented(
+            self, command, model, values, own_only, on_circle, sector, fmt, cutoff, window, tol,
+            grid, k, cutoffs, width):
+        # the classify/params rules, with cutoffs <= 40; collapse may warn on exit 0
+        argv = [command, "--model", model, f"--sector={sector}", f"--format={fmt}"]
+        argv += [f"{cli._flag(p)}={v}" for p, v in values.items()
+                 if v is not None and (p in cli._FIELDS[model] or not own_only)]
+        argv += ["--on-circle"] * on_circle
+        if command in ("spectrum", "collapse", "verify-decomp"):
+            argv.append(f"--cutoff={cutoff}")
+        if command == "spectrum":
+            argv += ["--window", *window] if window else []
+            argv += [f"--tol={tol}"] if tol else []
+        elif command == "collapse":
+            argv += [f"--grid={','.join(grid)}", f"--lowest={k}"]
+        elif command == "edge":
+            argv += [f"--cutoffs={cutoffs}"] + ([f"--window-width={width}"] if width else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert out == ""
+            assert len(err.splitlines()) == 1 and _ERROR_LINE.match(err), err
+        else:
+            warned = [line for line in err.splitlines() if not line.startswith("warning: coupling ")]
+            assert warned == [] and (command == "collapse" or err == "")
             assert all(map(math.isfinite, _printed_numbers(out, fmt)))
 
 
@@ -548,6 +600,42 @@ class TestOptionValues:
         code, out, err = run_main(argv)
         assert code == 1
         assert message in err
+
+
+# run by a child interpreter: the CLI as its own child, then that child's peak RSS on stderr
+_PEAK_RSS = """
+import resource, subprocess, sys
+code = subprocess.call(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestSizeLimitMemory:
+    """Solves at the documented size limits stay within a fixed peak RSS.
+
+    Each runs in a child process and is measured from a wrapper process, so
+    no other process of the test run counts.  Before the solve stack's
+    row-dominance thresholds the collapse (2 x 500,000 rows) peaked at
+    141 MB and the spectrum (10^6 rows) at 100 MB; they now take about 81
+    and 70 MB (x86-64 Linux, numpy 2.4).
+    """
+
+    # bounds below those earlier peaks, with about 20 MB to spare over today's
+    @pytest.mark.parametrize("argv, last_row, mb", [
+        (["collapse", "--model", "two-photon", "--delta", "1", "--grid", "0.3,0.4",
+          "--cutoff", "500000", "-k", "15"], "0.4,1.182342006662102,0.911600897215919", 120),
+        (["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "0+",
+          "--cutoff", "1000000", "--window", "-2", "10"], "two-photon,0+,6,9.499999046325684", 90),
+    ], ids=["collapse", "spectrum"])
+    def test_peak_rss(self, argv, last_row, mb):
+        run = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "rabi_spectra",
+                              *argv], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == last_row
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        peak = int(run.stderr.splitlines()[-1]) * (1 if sys.platform == "darwin" else 1024)
+        assert peak <= mb * 2**20
 
 
 class TestInProcessCalls:

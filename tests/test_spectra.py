@@ -460,12 +460,13 @@ class TestLockstep:
 
     def test_golden_run_walk_steps(self, monkeypatch, capsys):
         # counts rows, not time: tail walks read 36,326 rows here before the
-        # located solve (1,833 since)
+        # located solve, 1,833 after it and 418 since they stop at the
+        # dominant suffix
         steps = []
         walk = tridiag._pivot_floor
 
-        def counting(rows, d, lam):
-            walked, bound = walk(rows, d, lam)
+        def counting(*args):
+            walked, bound = walk(*args)
             steps.append(walked)
             return walked, bound
 
@@ -474,7 +475,7 @@ class TestLockstep:
                 "--grid", "0.30:0.49:0.01", "--cutoff", "400", "-k", "20"]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert steps and sum(steps) <= 12_000
+        assert steps and sum(steps) <= 1_000
 
     def test_derived_arrays_once_per_section(self, monkeypatch, sturm_passes):
         # however many passes the solve takes, each section's squared couplings

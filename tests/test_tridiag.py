@@ -222,9 +222,9 @@ class TestKernelPaths:
 
 def _counting(loop, calls, lanes):
     """``loop``, adding one to ``calls[lanes]`` on each call."""
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[lanes] += 1
-        return loop(*args)
+        return loop(*args, **kwargs)
     return counted
 
 
@@ -298,7 +298,8 @@ class TestGershgorinCertificate:
         assert m.gershgorin() == (0.0, 4.0)
         stepped = []
         two_lanes = tridiag._two_lanes
-        monkeypatch.setattr(tridiag, "_two_lanes", lambda *a: stepped.append(a[5::2]) or two_lanes(*a))
+        monkeypatch.setattr(tridiag, "_two_lanes",
+                            lambda *a, **kw: stepped.append(a[5::2]) or two_lanes(*a, **kw))
         # eigenvalues 2 + 2 cos(k pi / (n + 1)): 5 of 10 and 25 of 50 lie below 2
         assert _sturm_counts(m, [0.0, 2.0, 4.0], [10, 50]).tolist() == [[0, 5, 10], [0, 25, 50]]
         assert stepped == [(2.0, 4.0)]
@@ -1118,22 +1119,21 @@ def _low_shifts(rng, m, k=4, extra=()):
 
 
 class _Walks:
-    """Records each tail check of a pass: its inputs, the rows it read and its result."""
+    """Records each tail check of a pass: its inputs, the row it started on, the rows it walked and its result.
+
+    A check is certified where its walk stays positive: a walk that stops
+    at a dominant suffix also needs its bound at or above the coupling into
+    it, which ``TestDominanceCertificate`` checks.
+    """
 
     def __init__(self, monkeypatch):
         self.calls = []
         check = tridiag._pivot_floor
 
-        def spy(rows, d, lam):
-            rows, read = list(rows), []
-
-            def feed():
-                for row in rows:
-                    read.append(row)
-                    yield row
-
-            walked, bound = check(feed(), d, lam)
-            self.calls.append({"rows": rows, "d": d, "lam": lam, "read": len(read),
+        def spy(diag_v, off_v, start, stop, d, lam):
+            rows = list(zip(diag_v[start:stop], off_v[start:stop]))
+            walked, bound = check(diag_v, off_v, start, stop, d, lam)
+            self.calls.append({"rows": rows, "start": start, "d": d, "lam": lam,
                                "walked": walked, "certified": 0.0 < bound < np.inf})
             return walked, bound
 
@@ -1179,7 +1179,7 @@ class TestCertifiedTail:
         assert got.tolist() == _reference_counts(m, lams).tolist()
         assert got[0] == sum(p < 0 for p in _PIVOTS)
         # every zero pivot lies in rows the pass stepped
-        assert min(m.n_max - len(c["rows"]) for c in walks.certified()) >= len(_PIVOTS)
+        assert min(c["start"] for c in walks.certified()) >= len(_PIVOTS)
 
     @pytest.mark.parametrize("rows", [1, 2, 4])
     def test_stacked_sections_certify_at_different_rows(self, monkeypatch, rows):
@@ -1190,10 +1190,11 @@ class TestCertifiedTail:
         lams = np.stack([_low_shifts(rng, m)[:24] for m in ms])
         self.patch_blocks(monkeypatch, rows, lams)
         walks = _Walks(monkeypatch)
-        got = _sturm_counts(ms, lams)
+        # a solve's stack: each walk stops where its section's dominant suffix starts
+        got = _sturm_counts(tridiag._Stack(ms), lams)
         alone = [_reference_counts(m, row) for m, row in zip(ms, lams)]
         assert got.tolist() == np.stack(alone).tolist()
-        starts = {c["lam"]: 50 - len(c["rows"]) for c in walks.certified()}
+        starts = {c["lam"]: c["start"] for c in walks.certified()}
         assert len(starts) == 3 and len(set(starts.values())) > 1
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -1210,21 +1211,22 @@ class TestCertifiedTail:
             pivots = _reference_pivots(m, lams)
             assert walks.certified()
             for call in walks.certified():
-                start = m.n_max - len(call["rows"])
+                start = call["start"]
                 assert pivots[start - 1].min() >= call["d"]
                 assert np.max(lams) <= call["lam"]
                 for i in range(1, len(call["rows"]) + 1):
-                    _, bound = tridiag._pivot_floor(call["rows"][:i], call["d"], call["lam"])
+                    diag_v, off_v = zip(*call["rows"][:i])
+                    _, bound = tridiag._pivot_floor(diag_v, off_v, 0, i, call["d"], call["lam"])
                     assert pivots[start + i - 1].min() >= bound > 0.0
 
     @pytest.mark.parametrize("d", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_refuses_bad_carried_pivots(self, d):
-        walked, bound = tridiag._pivot_floor(iter([(5.0, 1.0)] * 3), d, 0.0)
+        walked, bound = tridiag._pivot_floor([5.0] * 3, [1.0] * 3, 0, 3, d, 0.0)
         assert walked == 0 and not 0.0 < bound < np.inf
 
     def test_refuses_a_zero_bound(self):
         # (2 - 1) - 1 / 1 is exactly 0 on the second row
-        walked, bound = tridiag._pivot_floor(iter([(3.0, 1.0), (2.0, 1.0), (9.0, 1.0)]), 1.0, 1.0)
+        walked, bound = tridiag._pivot_floor([3.0, 2.0, 9.0], [1.0, 1.0, 1.0], 0, 3, 1.0, 1.0)
         assert (walked, bound) == (2, 0.0)
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -1240,7 +1242,7 @@ class TestCertifiedTail:
         assert got.tolist() == _reference_counts(m, lams).tolist()
         assert walks.calls and not walks.certified()
         # a check that reaches the plunge fails on its first row
-        assert 38 in [m.n_max - len(c["rows"]) + c["walked"] - 1 for c in walks.calls]
+        assert 38 in [c["start"] + c["walked"] - 1 for c in walks.calls]
 
     @pytest.mark.parametrize("rows", [1, 2, 5])
     def test_check_reads_each_row_about_once(self, monkeypatch, rows):
@@ -1256,8 +1258,8 @@ class TestCertifiedTail:
             _sturm_counts(ms, lams)
             for lam in set(c["lam"] for c in walks.calls):
                 mine = [c for c in walks.calls if c["lam"] == lam]
-                assert sum(c["read"] for c in mine) <= 60 + len(mine)
-            assert any(c["read"] > 5 for c in walks.calls)
+                assert sum(c["walked"] for c in mine) <= 60 + len(mine)
+            assert any(c["walked"] > 5 for c in walks.calls)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("integer", [False, True])
@@ -1278,6 +1280,141 @@ class TestCertifiedTail:
             want = [_reference_counts(m, row) for m, row in zip(ms, lams)]
             assert got.tolist() == np.stack(want).tolist()
         assert walks.certified()
+
+
+def _dominance_section(kind, n, rng):
+    """A section for ``TestDominanceCertificate``: its diagonal grows, so low shifts meet a dominant suffix."""
+    slope = float(rng.uniform(0.0, 12.0))
+    if kind == "integer":
+        return _growing_section(rng, n, float(rng.integers(0, 13)), integer=True)
+    if kind == "scaled":
+        # couplings from about 1e-300 to 1.3e154 over the examples
+        m, scale = _growing_section(rng, n, slope), 10.0 ** rng.uniform(-300.0, 153.9)
+        return SymTridiag(diag=m.diag * scale, offdiag=m.offdiag * scale)
+    if kind == "wild":
+        # every coupling on its own scale in [1e-300, 1.3e154], and diagonal
+        # entries of either sign on theirs
+        off = 10.0 ** rng.uniform(-300.0, 154.1, n - 1)
+        diag = 10.0 ** rng.uniform(-300.0, 154.1, n) * rng.choice([-1.0, 1.0, 1.0, 1.0], n)
+        return SymTridiag(diag=diag + slope * np.arange(n), offdiag=np.minimum(off, 1.3e154))
+    return _growing_section(rng, n, slope)
+
+
+def _dominant_from(m, first, lam):
+    """Whether rows first.. of ``m`` pass the dominance test redone in Python floats at ``lam``.
+
+    Row i: fl(fl(b_i - lam) - fl(q_i / a_(i-1))) >= a_i (row 0 subtracts
+    nothing), and > 0 on the last row.
+    """
+    diag, off, off_sq = m.diag.tolist(), m.offdiag.tolist(), m._off_sq.tolist()
+    for i in range(first, m.n_max):
+        u = (diag[i] - lam) - off_sq[i] / off[i - 1] if i else diag[i] - lam
+        if not (u > 0.0 if i == m.n_max - 1 else u >= off[i]):
+            return False
+    return True
+
+
+class TestDominanceCertificate:
+    """On a solve's stack a row-dominance certificate ends Sturm passes early, with unchanged counts.
+
+    ``_Stack.dominance`` gives, per section, where the suffix of rows that
+    are dominant at a shift starts, R(lam).  Every case runs through a
+    ``_Stack``, in blocks of 1-36 rows, with 1-300 shifts per section: the
+    counts must equal the per-row loop's, every row from R(lam) on must pass
+    the dominance test redone in Python floats, and R(lam) = 0 must be a
+    shift that ``_gershgorin_certifies`` accepts.
+    """
+
+    @given(
+        st.sampled_from(["float", "integer", "scaled", "wild"]),
+        st.integers(1, 60),
+        st.integers(1, 3),
+        st.integers(1, 300),
+        st.integers(1, 36),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_and_dominant_suffixes(self, kind, n, sections, shifts, rows, seed):
+        rng = np.random.default_rng(seed)
+        ms = [_dominance_section(kind, n, rng) for _ in range(sections)]
+        stack = tridiag._Stack(ms)
+        lams = []
+        for m, table in zip(ms, stack.dominance):
+            # the thresholds and their neighbours, diagonal entries (a zero first
+            # pivot), integers (exact hits) and shifts spread below and over the section
+            at = table[np.isfinite(table)]
+            lo, hi = m.gershgorin()
+            pool = np.concatenate([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), m.diag,
+                                   np.arange(-3.0, 3.0 + n), rng.uniform(lo, 0.5 * (lo + hi), 40),
+                                   rng.uniform(lo - abs(lo), hi + abs(hi), 10)])
+            lams.append(rng.choice(pool, shifts))
+        lams = np.array(lams)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tridiag, "_TAIL_ROWS", rows)
+            got = _sturm_counts(stack, lams)
+        with np.errstate(all="ignore"):
+            want = [_reference_counts(m, row) for m, row in zip(ms, lams)]
+        assert got.tolist() == np.stack(want).tolist()
+        for m, table, row in zip(ms, stack.dominance, lams.tolist()):
+            for lam in row:
+                first = int(np.searchsorted(table, lam))
+                assert _dominant_from(m, first, lam)
+                assert first > 0 or tridiag._gershgorin_certifies(m, lam)
+
+    def test_thresholds_are_built_once_per_solve_stack(self, monkeypatch):
+        # the one-off passes of sturm_count and an edge ladder build none
+        built = []
+        derive = tridiag._Stack.dominance.func
+
+        def counting(stack):
+            built.append(id(stack))
+            return derive(stack)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(tridiag._Stack, "dominance")
+        monkeypatch.setattr(tridiag._Stack, "dominance", prop)
+        m = _growing_section(np.random.default_rng(5), 200)
+        sturm_count(m, 1.0)
+        _sturm_counts(m, np.linspace(-1.0, 5.0, 40))
+        _sturm_counts(m, [0.0, 1.0, 2.0], sizes=[50, 200])
+        assert built == []
+        eigenvalues_bisect(m, window=(-10.0, 40.0))
+        assert len(built) == 1
+
+    def test_lanes_stop_at_the_cut(self, monkeypatch):
+        # two growing sections, one low shift each: the lanes stop at the
+        # dominant suffix and count as the whole pass does
+        rng = np.random.default_rng(9)
+        ms = [_growing_section(rng, 300, slope) for slope in (1.0, 6.0)]
+        stack = tridiag._Stack(ms)
+        lams = np.array([[dense_eigenvalues(m)[3:5].mean()] for m in ms])
+        stops = []
+        one_lane = tridiag._one_lane
+        monkeypatch.setattr(tridiag, "_one_lane",
+                            lambda *a, **kw: stops.append(a[2]) or one_lane(*a, **kw))
+        got = _sturm_counts(stack, lams)
+        assert got.tolist() == [[4], [4]]
+        cuts = [int(np.searchsorted(t, row[0])) for t, row in zip(stack.dominance, lams)]
+        assert stops == [[cut, 300] for cut in cuts] and max(cuts) < 100
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 36])
+    def test_needs_the_coupling_into_the_suffix(self, monkeypatch, rows):
+        # diagonal 4 then 40 with unit couplings: near 0 every row but row 10
+        # is dominant, so the suffix starts at row 11.  Row 10's diagonal puts
+        # its pivot a little above 0, below a_10 = 1, so row 11's pivot
+        # 40 - lam - 1 / d_10 is negative for shifts in about (-0.024, 5e-4]
+        d = np.inf
+        for _ in range(10):
+            d = (4.0 - 0.0) - 1.0 / d
+        diag = np.concatenate([np.full(10, 4.0), [1.0 / d + 1e-3], np.full(29, 40.0)])
+        m = SymTridiag(diag=diag, offdiag=np.ones(39))
+        lams = np.linspace(-0.5, 5e-4, 30)
+        stack = tridiag._Stack([m])
+        assert np.searchsorted(stack.dominance[0], lams).tolist() == [11] * 30
+        monkeypatch.setattr(tridiag, "_TAIL_ROWS", rows)
+        got = _sturm_counts(stack, lams[None])[0]
+        assert got.tolist() == _reference_counts(m, lams).tolist()
+        assert got.min() == 0 < got.max()
 
 
 class TestSpeculativeDepth:
