@@ -9,6 +9,10 @@ float64 cannot hold (a trace, indicator or a(n), b(n) that is inf or NaN,
 checked before anything prints) and an --out path that cannot be written, 2
 regime errors (degenerate parameters, unsupported classification regimes,
 and parameters where float64 cannot confirm the closed-form edge).
+
+A call is parsed once, by its subcommand's parser; the top-level parser
+handles only help and usage errors (no argv, an unknown command, options
+before the command).  The parser tree is built on the first call and shared.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import re
 import sys
 from dataclasses import fields
+from gettext import gettext
 from typing import Sequence
 
 import numpy as np
@@ -400,6 +405,8 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # main hands a subcommand's arguments straight to its parser in here
+    parser.commands = sub.choices
 
     def common(p: argparse.ArgumentParser, sector_default: str = "all") -> None:
         _add_model_args(p)
@@ -451,7 +458,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        # no command first: the top-level parser prints help or a usage error
+        args = parser.parse_args(argv)
+    else:
+        # what the subparsers action does, without the top-level scan of argv
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            # parse_args's own message, translated as argparse translates it
+            parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+        args.command = argv[0]
     try:
         return args.fn(args)
     except _REGIME_ERRORS as exc:

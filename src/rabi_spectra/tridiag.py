@@ -219,33 +219,41 @@ class _Stack(tuple):
         few ulps low and moved down until its test holds (-inf where it
         never does), and [g, R] is their least over rows R..n - 1, with
         [g, n] = inf.  Nondecreasing in R, so the dominant suffix at lam
-        starts at row searchsorted([g], lam).  Rows are taken
-        ``_BLOCK_ELEMS`` at a time, so no temporary outgrows a block.
+        starts at row searchsorted([g], lam).  All sections are taken
+        together, (G, rows) blocks of at most ``_BLOCK_ELEMS`` elements at a
+        time, and each row gets ``_dominant``'s IEEE operations: u > 0 on the
+        last row is u >= ulp(0), and row 0 subtracts its q_0 = +0.
         """
-        n = self[0].n_max
-        table = np.empty((len(self), n + 1))
+        n, count = self[0].n_max, len(self)
+        table = np.empty((count, n + 1))
         table[:, n] = np.inf
+        step = max(1, _BLOCK_ELEMS // count)
         with np.errstate(over="ignore", invalid="ignore"):
-            for g, m in enumerate(self):
-                for lo in range(0, n, _BLOCK_ELEMS):
-                    rows = slice(lo, min(n, lo + _BLOCK_ELEMS))
-                    floor = np.full(rows.stop - lo, math.ulp(0.0))
-                    floor[: m.offdiag[rows].size] = m.offdiag[rows]
-                    # u_i - a_i at lam = 0, one step of slack below
-                    top = _row_bounds(m, 0.0, rows) - floor
-                    slack = 4.0 * _EPS * (np.abs(m.diag[rows]) + np.abs(top) + floor)
-                    top -= slack
-                    for _ in range(4):
-                        held = _dominant(m, top, rows)
-                        if held.all():
-                            break
-                        top = np.where(held, top, top - slack)
-                        slack *= 2.0
-                    else:
-                        top[~_dominant(m, top, rows)] = -np.inf
-                    table[g, rows] = top
-                suffix = table[g, n - 1 :: -1]
-                np.minimum.accumulate(suffix, out=suffix)
+            for lo in range(0, n, step):
+                hi = min(n, lo + step)
+                diag = np.array([m.diag[lo:hi] for m in self])
+                # q_i / a_(i-1); row 0 keeps its q_0 = 0
+                sub = np.array([m._off_sq[lo:hi] for m in self])
+                inner = max(lo, 1)
+                sub[:, inner - lo :] /= np.array([m.offdiag[inner - 1 : hi - 1] for m in self])
+                floor = np.array([m.offdiag[lo:hi] for m in self])
+                if hi == n:
+                    floor = np.hstack((floor, np.full((count, 1), math.ulp(0.0))))
+                # u_i - a_i at lam = 0 (diag_i - 0 is diag_i), one step of slack below
+                top = (diag - sub) - floor
+                slack = 4.0 * _EPS * (np.abs(diag) + np.abs(top) + floor)
+                top -= slack
+                for _ in range(4):
+                    held = (diag - top) - sub >= floor
+                    if held.all():
+                        break
+                    top = np.where(held, top, top - slack)
+                    slack *= 2.0
+                else:
+                    top[~((diag - top) - sub >= floor)] = -np.inf
+                table[:, lo:hi] = top
+        suffix = table[:, n - 1 :: -1]
+        np.minimum.accumulate(suffix, axis=1, out=suffix)
         table.setflags(write=False)
         return table
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests run through subprocesses, plus output determinism."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -522,6 +523,124 @@ class TestArgvGrammar:
             assert all(map(math.isfinite, _printed_numbers(out, fmt)))
 
 
+def _full_tree_main(argv):
+    """``cli.main`` parsing through the whole tree: ``parse_args``, then main's error handling."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli._build_parser().parse_args(argv)
+            try:
+                code = args.fn(args)
+            except cli._REGIME_ERRORS as exc:
+                print(f"rabi-spectra: regime error: {exc}", file=sys.stderr)
+                code = cli.EXIT_REGIME
+            except (ValueError, OSError) as exc:
+                print(f"rabi-spectra: error: {exc}", file=sys.stderr)
+                code = cli.EXIT_USAGE
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_COMMANDS = ("classify", "params", "spectrum", "collapse", "edge", "verify-decomp")
+# tokens that no subcommand takes where they are put, or that argparse reads specially
+_STRAYS = ("stray", "--bogus", "--", "-x", "--mod", "--he", "-1e-05", "-h")
+
+
+@st.composite
+def _grammar_argv(draw):
+    """An argv of any subcommand from ``TestArgvGrammar``'s pools, options in any order."""
+    command = draw(st.sampled_from(_COMMANDS))
+    model = draw(st.sampled_from(tuple(cli._MODELS)))
+    groups = [["--model", model],
+              [f"--sector={draw(st.sampled_from(('default', 'all', '+', '0-', '1+')))}"],
+              [f"--format={draw(st.sampled_from(('csv', 'json')))}"]]
+    for param in cli._PARAMS:
+        value = draw(st.none() | st.sampled_from(_EDGE_VALUES))
+        if value is not None:
+            # an option's value as its own token, or after an '='
+            joined = draw(st.booleans())
+            groups.append([f"{cli._flag(param)}={value}"] if joined else [cli._flag(param), value])
+    groups += [["--on-circle"]] * draw(st.booleans())
+    if command == "params":
+        groups.append(["--n", draw(st.sampled_from(("0..5", "-2..2", "9007199254740993")))])
+    if command in ("spectrum", "collapse", "verify-decomp"):
+        groups.append(["--cutoff", draw(st.sampled_from(("1", "3", "40")))])
+    if command == "spectrum" and draw(st.booleans()):
+        window = [v for v in _FLOAT_VALUES if v != "-inf"]
+        groups.append(["--window", *draw(st.lists(st.sampled_from(window), min_size=2, max_size=2))])
+    if command == "collapse":
+        grid = draw(st.lists(st.sampled_from(_EDGE_VALUES), min_size=1, max_size=3))
+        groups += [[f"--grid={','.join(grid)}"], ["-k", draw(st.sampled_from(("1", "5")))]]
+    if command == "edge":
+        groups.append([f"--cutoffs={draw(st.sampled_from(('2,3', '40', '1')))}"])
+    groups = draw(st.permutations(groups))
+    groups += [[stray] for stray in draw(st.lists(st.sampled_from(_STRAYS), max_size=2))]
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+class TestDispatch:
+    """``cli.main`` parses a subcommand's argv with that subcommand's parser only.
+
+    Each call must give the bytes of a parse through the whole tree, so the
+    top-level parser's wording (usage line, error prefix) is pinned on every
+    Python that runs the suite.
+    """
+
+    @given(argv=_grammar_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_the_full_tree(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_main(argv) == _full_tree_main(argv)
+
+    CLASSIFY = ["classify", "--model", "two-photon", "--g", "0.3"]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"],
+        ["classify", "-h"], ["edge", "--help"],
+        ["nope"], ["-x"], ["--model", "x", "classify"],
+        CLASSIFY + ["stray"],
+        ["params", "--bogus", "--model", "two-photon", "--g", "0.3"],
+        ["verify-decomp", "--model", "two-photon", "--g", "0.7", "--cutoff", "5", "a", "b"],
+        ["classify", "--", "x"],
+        ["spectrum", "--model", "two-photon", "--g", "0.3", "--cutoff", "10",
+         "--window", "-1", "2", "--", "q"],
+        ["classify", "--mod", "two-photon", "--g", "0.3"], ["classify", "--he"],
+        CLASSIFY + ["--delta", "-1e-05"],
+        ["classify"],
+    ])
+    def test_malformed_and_help_argv(self, argv):
+        assert run_main(argv) == _full_tree_main(argv)
+
+    def test_commands_get_the_full_tree_namespace(self):
+        seen = []
+        params = cli._build_parser().commands["params"]
+        params.set_defaults(fn=lambda args: seen.append(vars(args)) or 0)
+        try:
+            argv = ["params", "--model", "two-photon", "--g", "0.3", "--n", "2"]
+            assert run_main(argv)[0] == _full_tree_main(argv)[0] == 0
+        finally:
+            params.set_defaults(fn=cli.cmd_params)
+        assert seen[0] == seen[1] and seen[0]["command"] == "params"
+
+    def test_top_level_parser_only_for_help_and_usage_errors(self, monkeypatch):
+        parser = cli._build_parser()
+        calls = []
+
+        def spy(argv):
+            calls.append(argv)
+            return argparse.ArgumentParser.parse_args(parser, argv)
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        assert run_main(self.CLASSIFY)[0] == 0
+        assert run_main(self.CLASSIFY + ["stray"])[0] == 1
+        assert calls == []
+        assert run_main(["--help"])[0] == 0
+        assert run_main(["nope"])[0] == 1
+        assert calls == [["--help"], ["nope"]]
+
+
 class TestOptionValues:
     """In-process checks of option parsing (no subprocess per case)."""
 
@@ -618,16 +737,21 @@ class TestSizeLimitMemory:
     no other process of the test run counts.  Before the solve stack's
     row-dominance thresholds the collapse (2 x 500,000 rows) peaked at
     141 MB and the spectrum (10^6 rows) at 100 MB; they now take about 81
-    and 70 MB (x86-64 Linux, numpy 2.4).
+    and 70 MB (x86-64 Linux, numpy 2.4).  The edge ladder to 10^6 rows takes
+    about 77 MB and verify-decomp's dense 4000 x 4000 matrix about 282 MB.
     """
 
-    # bounds below those earlier peaks, with about 20 MB to spare over today's
+    # bounds about 20-25 MB over today's peaks (collapse and spectrum: below their earlier ones)
     @pytest.mark.parametrize("argv, last_row, mb", [
         (["collapse", "--model", "two-photon", "--delta", "1", "--grid", "0.3,0.4",
           "--cutoff", "500000", "-k", "15"], "0.4,1.182342006662102,0.911600897215919", 120),
         (["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "0+",
           "--cutoff", "1000000", "--window", "-2", "10"], "two-photon,0+,6,9.499999046325684", 90),
-    ], ids=["collapse", "spectrum"])
+        (["edge", "--model", "two-photon", "--g", "critical", "--delta", "1",
+          "--cutoffs", "500000,1000000"], "1000000,1424,0", 100),
+        (["verify-decomp", "--model", "two-photon", "--g", "0.7", "--delta", "1.3",
+          "--cutoff", "2000"], "2000,0.0,0.0,0.0,0.0", 305),
+    ], ids=["collapse", "spectrum", "edge", "verify-decomp"])
     def test_peak_rss(self, argv, last_row, mb):
         run = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "rabi_spectra",
                               *argv], capture_output=True, text=True)

@@ -7,6 +7,7 @@ exactly on an eigenvalue are judged by 50-digit mpmath eigenvalues.
 """
 
 import functools
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1314,6 +1315,29 @@ def _dominant_from(m, first, lam):
     return True
 
 
+def _python_thresholds(m):
+    """``_Stack.dominance``'s row of ``m`` computed row by row in Python floats."""
+    diag, off, off_sq = m.diag.tolist(), m.offdiag.tolist(), m._off_sq.tolist()
+    n, out = m.n_max, []
+    for i in range(n):
+        sub = off_sq[i] / off[i - 1] if i else 0.0
+        floor = off[i] if i < n - 1 else math.ulp(0.0)
+        top = (diag[i] - 0.0 - sub) - floor
+        slack = 4.0 * tridiag._EPS * (abs(diag[i]) + abs(top) + floor)
+        top -= slack
+        for _ in range(4):
+            if (diag[i] - top) - sub >= floor:
+                break
+            top, slack = top - slack, 2.0 * slack
+        else:
+            if not (diag[i] - top) - sub >= floor:
+                top = -math.inf
+        out.append(top)
+    for i in range(n - 2, -1, -1):
+        out[i] = min(out[i], out[i + 1])
+    return out + [math.inf]
+
+
 class TestDominanceCertificate:
     """On a solve's stack a row-dominance certificate ends Sturm passes early, with unchanged counts.
 
@@ -1360,6 +1384,28 @@ class TestDominanceCertificate:
                 first = int(np.searchsorted(table, lam))
                 assert _dominant_from(m, first, lam)
                 assert first > 0 or tridiag._gershgorin_certifies(m, lam)
+
+    @given(
+        st.sampled_from(["float", "integer", "scaled", "wild"]),
+        st.integers(1, 60),
+        st.integers(1, 20),
+        st.sampled_from([1, 5, 64, tridiag._BLOCK_ELEMS]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_thresholds_are_each_sections_own(self, kind, n, sections, block, seed):
+        # G sections are built together in (G, rows) blocks; each section's
+        # table must be the one it gets alone, bit for bit, and equal the
+        # per-row estimate redone in Python floats
+        rng = np.random.default_rng(seed)
+        ms = [_dominance_section(kind, n, rng) for _ in range(sections)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tridiag, "_BLOCK_ELEMS", block)
+            table = tridiag._Stack(ms).dominance
+            alone = [tridiag._Stack([m]).dominance[0] for m in ms]
+        for g, m in enumerate(ms):
+            assert table[g].tobytes() == alone[g].tobytes()
+            assert table[g].tolist() == _python_thresholds(m)
 
     def test_thresholds_are_built_once_per_solve_stack(self, monkeypatch):
         # the one-off passes of sturm_count and an edge ladder build none
