@@ -12,7 +12,10 @@ and parameters where float64 cannot confirm the closed-form edge).
 
 A call is parsed once, by its subcommand's parser; the top-level parser
 handles only help and usage errors (no argv, an unknown command, options
-before the command).  The parser tree is built on the first call and shared.
+before the command).  A well-formed call is read straight from that
+subcommand's action table (``_read``); argparse's own scan parses every
+form the reader leaves to it, and reports help and usage errors.  The
+parser tree is built on the first call and shared.
 """
 
 from __future__ import annotations
@@ -317,9 +320,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
-    for opt in ("g", "on_circle"):
-        if getattr(args, opt):
-            raise ValueError(f"collapse takes the coupling from --grid; drop {_flag(opt)}")
+    # any given --g, the empty text included
+    if args.g is not None:
+        raise ValueError("collapse takes the coupling from --grid; drop --g")
+    if args.on_circle:
+        raise ValueError("collapse takes the coupling from --grid; drop --on-circle")
     grid = _parse_grid(args.grid)
     _check_cutoff(args.cutoff)
     # the scan holds one section per grid point
@@ -457,6 +462,67 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read(command: argparse.ArgumentParser, tokens: Sequence[str]) -> argparse.Namespace | None:
+    """``command.parse_known_args(tokens)``'s namespace, read from the parser's action table.
+
+    Returns None, for argparse to parse, on any argv it does not take whole:
+    it takes exact option tokens of store (one value, the next token) and
+    store_true actions only.  So '--opt=value', abbreviations, '-k5', '--',
+    help, multi-value options, stray tokens, a value that starts with '-'
+    and is no negative number, a value its ``type`` or ``choices`` rejects,
+    and a required option not given are argparse's to read or report.
+    Defaults are filled in argparse's order, unseen string defaults
+    converted by ``type``; a repeated option keeps its last value.
+    """
+    options = command._option_string_actions
+    values, seen = {}, set()
+    i, count = 0, len(tokens)
+    while i < count:
+        action = options.get(tokens[i])
+        kind = type(action)
+        if kind is argparse._StoreTrueAction:
+            values[action.dest] = action.const
+        elif kind is argparse._StoreAction and action.nargs is None and i + 1 < count:
+            i += 1
+            text = tokens[i]
+            # this refuses option strings too: each starts with '-' and none is a negative number
+            if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        else:
+            return None
+        seen.add(action)
+        i += 1
+    args, unconverted = {}, []
+    for action in command._actions:
+        dest, default = action.dest, action.default
+        if action not in seen:
+            if action.required:
+                return None
+            if isinstance(default, str) and action.type is not None:
+                unconverted.append(action)
+        if dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS:
+            args.setdefault(dest, default)
+    for dest, default in command._defaults.items():
+        args.setdefault(dest, default)
+    args.update(values)
+    for action in unconverted:
+        if args.get(action.dest) is action.default:
+            try:
+                args[action.dest] = action.type(action.default)
+            except (TypeError, ValueError):
+                return None
+    namespace = argparse.Namespace()
+    vars(namespace).update(args)
+    return namespace
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -467,10 +533,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     else:
         # what the subparsers action does, without the top-level scan of argv
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            # parse_args's own message, translated as argparse translates it
-            parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+        args = _read(command, argv[1:])
+        if args is None:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                # parse_args's own message, translated as argparse translates it
+                parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
         args.command = argv[0]
     try:
         return args.fn(args)

@@ -216,8 +216,8 @@ class _Stack(tuple):
 
         Row i is dominant at lam where ``_dominant`` holds, which is
         nonincreasing in lam.  Each row's greatest such shift is estimated a
-        few ulps low and moved down until its test holds (-inf where it
-        never does), and [g, R] is their least over rows R..n - 1, with
+        few ulps low and checked by that test (-inf where the check fails),
+        and [g, R] is their least over rows R..n - 1, with
         [g, n] = inf.  Nondecreasing in R, so the dominant suffix at lam
         starts at row searchsorted([g], lam).  All sections are taken
         together, (G, rows) blocks of at most ``_BLOCK_ELEMS`` elements at a
@@ -239,18 +239,11 @@ class _Stack(tuple):
                 floor = np.array([m.offdiag[lo:hi] for m in self])
                 if hi == n:
                     floor = np.hstack((floor, np.full((count, 1), math.ulp(0.0))))
-                # u_i - a_i at lam = 0 (diag_i - 0 is diag_i), one step of slack below
+                # u_i - a_i at lam = 0 (diag_i - 0 is diag_i), a few ulps of slack below
                 top = (diag - sub) - floor
-                slack = 4.0 * _EPS * (np.abs(diag) + np.abs(top) + floor)
-                top -= slack
-                for _ in range(4):
-                    held = (diag - top) - sub >= floor
-                    if held.all():
-                        break
-                    top = np.where(held, top, top - slack)
-                    slack *= 2.0
-                else:
-                    top[~((diag - top) - sub >= floor)] = -np.inf
+                top -= 4.0 * _EPS * (np.abs(diag) + np.abs(top) + floor)
+                # a row whose estimate fails the test is never taken as dominant
+                top[~((diag - top) - sub >= floor)] = -np.inf
                 table[:, lo:hi] = top
         suffix = table[:, n - 1 :: -1]
         np.minimum.accumulate(suffix, axis=1, out=suffix)

@@ -416,9 +416,9 @@ class TestNonFiniteResults:
 # option values at the edges of float64, a few plain ones, and the preset
 _EDGE_VALUES = ("0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e154", "1e155", "1e300",
                 "-1e300", "nan", "inf", "-inf", "0.49999999999999994", "0.5000000000000001",
-                "critical", "0.3", "0.5", "1", "-1", "2")
+                "critical", "0.3", "0.5", "1", "-1", "2", "")
 # the values argparse reads as floats; "-inf" on its own reads as an option
-_FLOAT_VALUES = tuple(v for v in _EDGE_VALUES if v != "critical")
+_FLOAT_VALUES = tuple(v for v in _EDGE_VALUES if v not in ("critical", ""))
 _ERROR_LINE = re.compile(r"rabi-spectra: (regime )?error: ")
 
 
@@ -544,39 +544,67 @@ def _full_tree_main(argv):
 
 _COMMANDS = ("classify", "params", "spectrum", "collapse", "edge", "verify-decomp")
 # tokens that no subcommand takes where they are put, or that argparse reads specially
-_STRAYS = ("stray", "--bogus", "--", "-x", "--mod", "--he", "-1e-05", "-h")
+_STRAYS = ("stray", "--bogus", "--", "-x", "--mod", "--he", "-1e-05", "-h", "--delta")
 
 
 @st.composite
 def _grammar_argv(draw):
-    """An argv of any subcommand from ``TestArgvGrammar``'s pools, options in any order."""
+    """An argv of any subcommand from ``TestArgvGrammar``'s pools, options in any order.
+
+    Values are all their own tokens, all joined by '=', or either; a model
+    parameter may be given twice.
+    """
     command = draw(st.sampled_from(_COMMANDS))
     model = draw(st.sampled_from(tuple(cli._MODELS)))
+    joining = draw(st.sampled_from(("own", "joined", "mixed")))
+
+    def option(flag, value):
+        joined = joining == "joined" or joining == "mixed" and draw(st.booleans())
+        return [f"{flag}={value}"] if joined else [flag, value]
+
     groups = [["--model", model],
-              [f"--sector={draw(st.sampled_from(('default', 'all', '+', '0-', '1+')))}"],
-              [f"--format={draw(st.sampled_from(('csv', 'json')))}"]]
+              option("--sector", draw(st.sampled_from(("default", "all", "+", "0-", "1+")))),
+              option("--format", draw(st.sampled_from(("csv", "json"))))]
     for param in cli._PARAMS:
-        value = draw(st.none() | st.sampled_from(_EDGE_VALUES))
-        if value is not None:
-            # an option's value as its own token, or after an '='
-            joined = draw(st.booleans())
-            groups.append([f"{cli._flag(param)}={value}"] if joined else [cli._flag(param), value])
+        for value in draw(st.lists(st.sampled_from(_EDGE_VALUES), max_size=2)):
+            groups.append(option(cli._flag(param), value))
     groups += [["--on-circle"]] * draw(st.booleans())
     if command == "params":
-        groups.append(["--n", draw(st.sampled_from(("0..5", "-2..2", "9007199254740993")))])
+        groups.append(option("--n", draw(st.sampled_from(("0..5", "-2..2", "9007199254740993")))))
     if command in ("spectrum", "collapse", "verify-decomp"):
-        groups.append(["--cutoff", draw(st.sampled_from(("1", "3", "40")))])
-    if command == "spectrum" and draw(st.booleans()):
-        window = [v for v in _FLOAT_VALUES if v != "-inf"]
-        groups.append(["--window", *draw(st.lists(st.sampled_from(window), min_size=2, max_size=2))])
+        # "1e3" is no int: argparse's usage error
+        groups.append(option("--cutoff", draw(st.sampled_from(("1", "3", "40", "1e3")))))
+    if command == "spectrum":
+        if draw(st.booleans()):
+            window = [v for v in _FLOAT_VALUES if v != "-inf"]
+            # one value short is argparse's usage error
+            groups.append(["--window", *draw(st.lists(st.sampled_from(window), min_size=1, max_size=2))])
+        if draw(st.booleans()):
+            groups.append(option("--tol", draw(st.sampled_from(_FLOAT_VALUES))))
     if command == "collapse":
         grid = draw(st.lists(st.sampled_from(_EDGE_VALUES), min_size=1, max_size=3))
-        groups += [[f"--grid={','.join(grid)}"], ["-k", draw(st.sampled_from(("1", "5")))]]
+        groups += [option("--grid", ",".join(grid)), ["-k", draw(st.sampled_from(("1", "5")))]]
     if command == "edge":
-        groups.append([f"--cutoffs={draw(st.sampled_from(('2,3', '40', '1')))}"])
+        groups.append(option("--cutoffs", draw(st.sampled_from(("2,3", "40", "1")))))
+        if draw(st.booleans()):
+            groups.append(option("--window-width", draw(st.sampled_from(_FLOAT_VALUES))))
     groups = draw(st.permutations(groups))
     groups += [[stray] for stray in draw(st.lists(st.sampled_from(_STRAYS), max_size=2))]
     return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+def _same_namespace(a, b):
+    """Namespaces with the same attributes in the same order and equal values, NaN equal to NaN."""
+    a, b = vars(a), vars(b)
+    return list(a) == list(b) and all(
+        type(a[k]) is type(b[k]) and (a[k] == b[k] or a[k] != a[k] and b[k] != b[k]) for k in a)
+
+
+def _readme_examples():
+    """The README's CLI examples, as argv lists without the program name."""
+    text = (Path(__file__).parent.parent / "README.md").read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1).replace("\\\n", " ")
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("rabi-spectra ")]
 
 
 class TestDispatch:
@@ -584,7 +612,9 @@ class TestDispatch:
 
     Each call must give the bytes of a parse through the whole tree, so the
     top-level parser's wording (usage line, error prefix) is pinned on every
-    Python that runs the suite.
+    Python that runs the suite.  A well-formed argv is read from the
+    subcommand's action table (``cli._read``) and must give the namespace
+    argparse gives; every other argv is argparse's.
     """
 
     @given(argv=_grammar_argv())
@@ -593,6 +623,15 @@ class TestDispatch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert run_main(argv) == _full_tree_main(argv)
+
+    @given(argv=_grammar_argv())
+    @settings(max_examples=500, deadline=None)
+    def test_reader_takes_only_what_argparse_reads_alike(self, argv):
+        command = cli._build_parser().commands[argv[0]]
+        read = cli._read(command, argv[1:])
+        if read is not None:
+            args, extras = command.parse_known_args(argv[1:])
+            assert extras == [] and _same_namespace(read, args), (vars(read), vars(args))
 
     CLASSIFY = ["classify", "--model", "two-photon", "--g", "0.3"]
 
@@ -613,16 +652,76 @@ class TestDispatch:
     def test_malformed_and_help_argv(self, argv):
         assert run_main(argv) == _full_tree_main(argv)
 
-    def test_commands_get_the_full_tree_namespace(self):
+    # a store_true option, and an option given twice, which keeps its last value
+    @pytest.mark.parametrize("argv, given", [
+        (["params", "--model", "two-photon", "--g", "0.3", "--n", "2"], {"n": "2"}),
+        (["params", "--model", "rabi-stark", "--on-circle", "--kappa", "0.6", "--n", "0..3",
+          "--n", "2"], {"on_circle": True, "n": "2"}),
+    ])
+    def test_commands_get_the_full_tree_namespace(self, argv, given):
         seen = []
         params = cli._build_parser().commands["params"]
+        assert cli._read(params, argv[1:]) is not None
         params.set_defaults(fn=lambda args: seen.append(vars(args)) or 0)
         try:
-            argv = ["params", "--model", "two-photon", "--g", "0.3", "--n", "2"]
             assert run_main(argv)[0] == _full_tree_main(argv)[0] == 0
         finally:
             params.set_defaults(fn=cli.cmd_params)
         assert seen[0] == seen[1] and seen[0]["command"] == "params"
+        assert {k: seen[0][k] for k in given} == given
+
+    def test_reader_converts_an_unseen_string_default(self):
+        # as argparse does; no option of this tool has such a default
+        parser = cli._Parser(prog="t")
+        parser.add_argument("--x", type=int, default="5")
+        parser.add_argument("--y", type=int, default="bad")
+        args = parser.parse_known_args(["--y", "1"])[0]
+        assert vars(cli._read(parser, ["--y", "1"])) == vars(args) == {"x": 5, "y": 1}
+        # argparse's usage error: invalid int value 'bad'
+        assert cli._read(parser, []) is None
+
+    SPECTRUM = ["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "0+", "--cutoff", "10"]
+
+    @pytest.mark.parametrize("argv", [
+        CLASSIFY + ["--delta=-1e-05"],
+        ["classify", "--mod", "two-photon", "--g", "0.3"],
+        ["collapse", "--model", "two-photon", "--grid", "0.3,0.31", "--cutoff", "40", "-k5"],
+        ["classify", "-h"],
+        SPECTRUM + ["--window", "-1", "2"],
+        SPECTRUM + ["--window", "2", "--tol", "1e-9"],
+        SPECTRUM[:-1] + ["1e3"],
+        CLASSIFY + ["stray"],
+        CLASSIFY + ["--format", "xml"],
+        CLASSIFY + ["--delta"],
+    ])
+    def test_argparse_reads_what_the_reader_defers(self, monkeypatch, argv):
+        calls = self.spy_on_commands(monkeypatch)
+        assert run_main(argv)[0] in (0, 1)
+        assert calls == [argv[1:]]
+
+    def test_reader_takes_the_readme_examples(self, monkeypatch):
+        # all but spectrum's, whose --window takes two values
+        calls = self.spy_on_commands(monkeypatch)
+        examples = _readme_examples()
+        assert len(examples) == 8
+        for argv in examples + [self.CLASSIFY + ["--delta", "-1e-05"]]:
+            assert run_main(argv)[0] == 0, argv
+        assert calls == [argv[1:] for argv in examples if argv[0] == "spectrum"]
+
+    @staticmethod
+    def spy_on_commands(monkeypatch):
+        """Record the argv of every subcommand parser's ``parse_known_args``."""
+        calls = []
+
+        def spying(command):
+            def spy(args=None, namespace=None):
+                calls.append(args)
+                return argparse.ArgumentParser.parse_known_args(command, args, namespace)
+            return spy
+
+        for command in cli._build_parser().commands.values():
+            monkeypatch.setattr(command, "parse_known_args", spying(command))
+        return calls
 
     def test_top_level_parser_only_for_help_and_usage_errors(self, monkeypatch):
         parser = cli._build_parser()
@@ -668,6 +767,9 @@ class TestOptionValues:
           "--grid", "0.3,0.4"], "--g"),
         (["collapse", "--model", "rabi-stark", "--kappa", "0.5", "--on-circle",
           "--grid", "0.3,0.4"], "--on-circle"),
+        # an empty --g is given too
+        (["collapse", "--model", "two-photon", "--g", "", "--grid", "0.3,0.31", "--cutoff", "40",
+          "-k", "3"], "drop --g"),
     ])
     def test_option_the_model_does_not_take_is_rejected(self, argv, option):
         code, out, err = run_main(argv)

@@ -1323,16 +1323,8 @@ def _python_thresholds(m):
         sub = off_sq[i] / off[i - 1] if i else 0.0
         floor = off[i] if i < n - 1 else math.ulp(0.0)
         top = (diag[i] - 0.0 - sub) - floor
-        slack = 4.0 * tridiag._EPS * (abs(diag[i]) + abs(top) + floor)
-        top -= slack
-        for _ in range(4):
-            if (diag[i] - top) - sub >= floor:
-                break
-            top, slack = top - slack, 2.0 * slack
-        else:
-            if not (diag[i] - top) - sub >= floor:
-                top = -math.inf
-        out.append(top)
+        top -= 4.0 * tridiag._EPS * (abs(diag[i]) + abs(top) + floor)
+        out.append(top if (diag[i] - top) - sub >= floor else -math.inf)
     for i in range(n - 2, -1, -1):
         out[i] = min(out[i], out[i + 1])
     return out + [math.inf]
@@ -1406,6 +1398,35 @@ class TestDominanceCertificate:
         for g, m in enumerate(ms):
             assert table[g].tobytes() == alone[g].tobytes()
             assert table[g].tolist() == _python_thresholds(m)
+
+    def test_rows_failing_their_estimate_are_never_dominant(self):
+        # with no slack, many rows' estimates round above their greatest
+        # dominant shift: those rows get -inf, and what is left still
+        # certifies and counts as the per-row loop
+        rng = np.random.default_rng(11)
+        ms = [_dominance_section(kind, 60, rng) for kind in ("float", "scaled") for _ in range(4)]
+        stack = tridiag._Stack(ms)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tridiag, "_EPS", 0.0)
+            table = stack.dominance
+            assert table.tolist() == [_python_thresholds(m) for m in ms]
+        assert np.isneginf(table).any()
+        finite = [(g, r) for g, r in zip(*np.nonzero(np.isfinite(table[:, :-1])))]
+        assert finite
+        for g, r in finite:
+            assert tridiag._dominant(ms[g], table[g, r], slice(r, None)).all()
+        lams = []
+        for m, row in zip(ms, table):
+            at = row[np.isfinite(row)]
+            lo, hi = m.gershgorin()
+            pool = np.concatenate([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+                                   rng.uniform(lo, 0.5 * (lo + hi), 40)])
+            lams.append(rng.choice(pool, 40))
+        lams = np.array(lams)
+        want = np.stack([_reference_counts(m, row) for m, row in zip(ms, lams)])
+        # the numpy pass and the lanes
+        assert _sturm_counts(stack, lams).tolist() == want.tolist()
+        assert _sturm_counts(stack, lams[:, :3]).tolist() == want[:, :3].tolist()
 
     def test_thresholds_are_built_once_per_solve_stack(self, monkeypatch):
         # the one-off passes of sturm_count and an edge ladder build none
