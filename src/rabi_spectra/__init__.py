@@ -47,6 +47,7 @@ from .models import (
     hamiltonian_matrix,
     jacobi_params,
     predicted_phase,
+    predicted_phases,
     sector_basis_index,
     sectors,
 )

@@ -49,6 +49,7 @@ from .models import (
     decomposition_check,
     jacobi_params,
     predicted_phase,
+    predicted_phases,
     sectors,
 )
 from .spectra import collapse_scan, edge_density, spectrum_scan
@@ -173,9 +174,13 @@ def _select_sectors(model: ModelSpec, text: str) -> tuple[SectorLabel, ...]:
     return (label,)
 
 
-def _one_sector(model: ModelSpec, text: str) -> SectorLabel:
+def _one_sector(model: ModelSpec, text: str, command: str) -> SectorLabel:
     # the default is the + sector of photon parity 0 (plain + for step-1 chains)
-    return sectors(model)[1] if text == "default" else _select_sectors(model, text)[0]
+    if text == "default":
+        return sectors(model)[1]
+    if text == "all":
+        raise ValueError(f"{command} solves one sector; give one label, not 'all'")
+    return _select_sectors(model, text)[0]
 
 
 def _parse_index_range(text: str) -> range:
@@ -265,8 +270,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "indicator_c1", "indicator_c0", "endpoint", "direction",
     ]
     rows = []
-    for sector in _select_sectors(model, args.sector):
-        report = predicted_phase(model, sector)
+    labels = _select_sectors(model, args.sector)
+    for sector, report in zip(labels, predicted_phases(model, labels)):
         ind, hl = report.indicator, report.essential_spectrum
         _check_finite([report.trace, ind.c1, ind.c0, hl.endpoint] if hl else [report.trace],
                       "the trace or edge indicator", sector)
@@ -334,7 +339,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
             f"is above the limit of {MAX_CUTOFF}"
         )
     base = _build_model(args, g=grid[0])
-    sector = _one_sector(base, args.sector)
+    sector = _one_sector(base, args.sector, "collapse")
     scan = collapse_scan(base.with_coupling, grid, sector, args.cutoff, args.lowest)
     for g, flag in zip(scan.couplings, scan.nondiscrete):
         if flag:
@@ -358,7 +363,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 def cmd_edge(args: argparse.Namespace) -> int:
     model = _build_model(args)
-    sector = _one_sector(model, args.sector)
+    sector = _one_sector(model, args.sector, "edge")
     report = predicted_phase(model, sector)
     if report.kind is not PhaseKind.CRITICAL_HALF_LINE:
         raise PhaseStateError(
@@ -413,10 +418,13 @@ def _build_parser() -> _Parser:
     # main hands a subcommand's arguments straight to its parser in here
     parser.commands = sub.choices
 
-    def common(p: argparse.ArgumentParser, sector_default: str = "all") -> None:
+    def common(p: argparse.ArgumentParser, one_sector: bool = False) -> None:
         _add_model_args(p)
-        p.add_argument("--sector", default=sector_default,
-                       help=f"sector label or 'all' (default {sector_default})")
+        if one_sector:
+            p.add_argument("--sector", default="default",
+                           help="one sector label (default 0+, or + for the intensity model)")
+        else:
+            p.add_argument("--sector", default="all", help="sector label or 'all' (default all)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
 
@@ -426,7 +434,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("params", help="table of Jacobi parameters a(n), b(n)")
     common(p)
-    p.add_argument("--n", default="0..9", help="index or inclusive range lo..hi (default 0..9)")
+    p.add_argument("--n", default="0..9",
+                   help="index or inclusive range lo..hi (default 0..9); join a range "
+                        "that starts with '-' by '=': --n=-2..2")
     p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("spectrum", help="windowed eigenvalues of a finite section")
@@ -438,17 +448,18 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("collapse", help="gap statistics along a coupling grid")
-    common(p, sector_default="default")
+    common(p, one_sector=True)
     p.add_argument("--grid", required=True,
                    help="start:stop:step or comma list of couplings; the grid value "
-                        "replaces g (anisotropic: the mean coupling, anisotropy fixed)")
+                        "replaces g (anisotropic: the mean coupling, anisotropy fixed); "
+                        "join a grid that starts with '-' by '=': --grid=-0.3,0.3")
     p.add_argument("--cutoff", type=int, default=400)
     p.add_argument("-k", "--lowest", type=int, default=20,
                    help="number of lowest eigenvalues per grid point (default 20)")
     p.set_defaults(fn=cmd_collapse)
 
     p = sub.add_parser("edge", help="eigenvalue counts near the predicted spectral edge")
-    common(p, sector_default="default")
+    common(p, one_sector=True)
     p.add_argument("--cutoffs", default="200,400,800", help="comma list (default 200,400,800)")
     p.add_argument("--window-width", type=float, default=5.0)
     p.set_defaults(fn=cmd_edge)
@@ -468,8 +479,8 @@ def _read(command: argparse.ArgumentParser, tokens: Sequence[str]) -> argparse.N
     Returns None, for argparse to parse, on any argv it does not take whole:
     it takes exact option tokens of store (one value, the next token) and
     store_true actions only.  So '--opt=value', abbreviations, '-k5', '--',
-    help, multi-value options, stray tokens, a value that starts with '-'
-    and is no negative number, a value its ``type`` or ``choices`` rejects,
+    help, multi-value options, stray tokens, a value other than a lone '-'
+    that starts with '-' and is no negative number, a value its ``type`` or ``choices`` rejects,
     and a required option not given are argparse's to read or report.
     Defaults are filled in argparse's order, unseen string defaults
     converted by ``type``; a repeated option keeps its last value.
@@ -485,8 +496,9 @@ def _read(command: argparse.ArgumentParser, tokens: Sequence[str]) -> argparse.N
         elif kind is argparse._StoreAction and action.nargs is None and i + 1 < count:
             i += 1
             text = tokens[i]
-            # this refuses option strings too: each starts with '-' and none is a negative number
-            if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+            # this refuses option strings too: each starts with '-' and none is a negative
+            # number; a lone '-' (the intensity model's sector) is a value to argparse too
+            if text[:1] == "-" and text != "-" and not _NEGATIVE_NUMBER.match(text):
                 return None
             try:
                 value = text if action.type is None else action.type(text)

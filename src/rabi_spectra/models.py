@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple, Union
+from typing import ClassVar, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .modulation import (
     HalfLine,
+    Monodromy,
     PeriodicModulation,
     PhaseKind,
     PhaseReport,
@@ -517,7 +518,21 @@ def critical_trace(model: ModelSpec) -> float | None:
 
 
 def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
-    """Spectral phase of one sector from the symbolic regime conditions.
+    """Spectral phase of one sector: ``predicted_phases(model, (sector,))[0]``."""
+    return predicted_phases(model, (sector,))[0]
+
+
+def predicted_phases(model: ModelSpec, labels: Sequence[SectorLabel]) -> list[PhaseReport]:
+    """Spectral phase of each sector in ``labels`` from the symbolic regime conditions.
+
+    The regime clause is evaluated once per call.  The monodromy is formed
+    once per distinct pair of the modulation's alpha and beta values, all
+    that its transfer matrices read: sectors whose alpha and beta agree
+    (both photon parities of the two-photon family, and both signs of the
+    two-photon and intensity models) share one product, the same numpy
+    chain each would form.  Every sector's modulation is still built and
+    validated, in the order given, so the first error raised is the one a
+    call per sector raises.
 
     In critical regimes the essential half-line is computed from the edge
     indicator polynomial and cross-checked against the closed-form endpoint
@@ -537,14 +552,27 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
     (inf or NaN) raises ValueError.  The trace of a non-critical sector is
     reported as computed, and may be inf or NaN where the products overflow.
     """
-    params = jacobi_params(model, sector)
-    clause, kind, closed, trace = model.regime()
-    mono = monodromy(params.modulation, critical_trace=trace)
-    if kind is not PhaseKind.CRITICAL_HALF_LINE:
-        return PhaseReport(kind, mono.trace, notes=clause)
+    regime = model.regime()
+    monos, reports = {}, []
+    for sector in labels:
+        mod = jacobi_params(model, sector).modulation
+        key = (mod.alpha.tobytes(), mod.beta.tobytes())
+        if key not in monos:
+            monos[key] = monodromy(mod, critical_trace=regime.trace)
+        mono = monos[key]
+        if regime.kind is PhaseKind.CRITICAL_HALF_LINE:
+            reports.append(_critical_report(model, sector, mod, mono, regime))
+        else:
+            reports.append(PhaseReport(regime.kind, mono.trace, notes=regime.clause))
+    return reports
 
-    s, r = limit_sequences(params.modulation)
-    indicator = edge_indicator(params.modulation, mono, s, r)
+
+def _critical_report(model: ModelSpec, sector: SectorLabel, mod: PeriodicModulation,
+                     mono: Monodromy, regime: Regime) -> PhaseReport:
+    """One critical sector's report: its indicator, half-line and closed-form check."""
+    closed = regime.halfline
+    s, r = limit_sequences(mod)
+    indicator = edge_indicator(mod, mono, s, r)
     if not (math.isfinite(indicator.c1) and math.isfinite(indicator.c0)):
         raise ValueError(
             f"the edge indicator of {model.name} sector {sector} overflows float64 "
@@ -558,13 +586,13 @@ def predicted_phase(model: ModelSpec, sector: SectorLabel) -> PhaseReport:
 
     if disagrees(halfline) or abs(halfline.endpoint - closed.endpoint) > 1e-9 * abs(closed.endpoint):
         # the float sum may have cancelled: sum it exactly over the same data
-        indicator, halfline = exact_edge_indicator(params.modulation, mono)
+        indicator, halfline = exact_edge_indicator(mod, mono)
     if disagrees(halfline):
         raise IndicatorMismatchError(
             f"indicator half-line {halfline} disagrees with the closed form {closed} "
             f"for {model.name} sector {sector}"
         )
-    return PhaseReport(kind, mono.trace, indicator, halfline, clause)
+    return PhaseReport(regime.kind, mono.trace, indicator, halfline, regime.clause)
 
 
 def carleman_growth_constant(params: JacobiParams, n_probe: int = 10_000) -> float:

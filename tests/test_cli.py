@@ -213,6 +213,57 @@ class TestEdge:
         assert "regime error" in cp.stderr
 
 
+class TestOneSectorCommands:
+    """edge and collapse solve one sector: 'all' is refused, the help names the default
+    (which the goldens pin)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["edge", "--model", "two-photon", "--g", "critical", "--delta", "1", "--cutoffs", "200,400"],
+        ["collapse", "--model", "two-photon", "--delta", "1", "--grid", "0.3,0.31",
+         "--cutoff", "40", "-k", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_all_is_exit_one(self, argv):
+        code, out, err = run_main([*argv, "--sector", "all"])
+        assert (code, out) == (1, "")
+        assert err == f"rabi-spectra: error: {argv[0]} solves one sector; give one label, not 'all'\n"
+
+    @pytest.mark.parametrize("command", ["edge", "collapse"])
+    def test_help_names_the_default(self, command):
+        (action,) = [a for a in cli._build_parser().commands[command]._actions
+                     if a.dest == "sector"]
+        assert action.help == "one sector label (default 0+, or + for the intensity model)"
+
+
+class TestSharedMonodromy:
+    """classify forms one period product per distinct (alpha, beta), and still builds every sector."""
+
+    @pytest.mark.parametrize("argv, products", [
+        (["--model", "two-photon", "--g", "0.3", "--delta", "1"], 1),
+        (["--model", "intensity", "--g", "0.3", "--kappa", "1", "--delta", "1"], 1),
+        (["--model", "anisotropic", "--g-plus", "0.8", "--g-minus", "0.1", "--delta", "1"], 2),
+        (["--model", "rabi-stark", "--g", "0.3", "--kappa", "0.5", "--delta", "1"], 2),
+    ], ids=lambda value: value[1] if isinstance(value, list) else str(value))
+    def test_products_and_sector_builds(self, monkeypatch, argv, products):
+        starts, built = [], []
+        period_products, jacobi_params = modulation._period_products, models.jacobi_params
+
+        def spy_products(mod, first):
+            starts.append(tuple(first))
+            return period_products(mod, first)
+
+        def spy_params(model, sector):
+            built.append(str(sector))
+            return jacobi_params(model, sector)
+
+        monkeypatch.setattr(modulation, "_period_products", spy_products)
+        monkeypatch.setattr(models, "jacobi_params", spy_params)
+        code, out, err = run_main(["classify", *argv, "--sector", "all"])
+        assert code == 0, err
+        assert starts == [(0,)] * products
+        labels = ["-", "+"] if argv[1] == "intensity" else ["0-", "0+", "1-", "1+"]
+        assert built == [row["sector"] for row in parse_csv(out)] == labels
+
+
 class TestVerifyDecomp:
     def test_two_photon(self):
         cp = run_cli("verify-decomp", "--model", "two-photon",
@@ -563,7 +614,7 @@ def _grammar_argv(draw):
         return [f"{flag}={value}"] if joined else [flag, value]
 
     groups = [["--model", model],
-              option("--sector", draw(st.sampled_from(("default", "all", "+", "0-", "1+")))),
+              option("--sector", draw(st.sampled_from(("default", "all", "+", "-", "0-", "1+")))),
               option("--format", draw(st.sampled_from(("csv", "json"))))]
     for param in cli._PARAMS:
         for value in draw(st.lists(st.sampled_from(_EDGE_VALUES), max_size=2)):
@@ -708,6 +759,17 @@ class TestDispatch:
             assert run_main(argv)[0] == 0, argv
         assert calls == [argv[1:] for argv in examples if argv[0] == "spectrum"]
 
+    def test_reader_takes_a_lone_dash(self, monkeypatch):
+        # the intensity model's sector '-', which argparse reads as a value too
+        argv = ["params", "--model", "intensity", "--g", "0.3", "--kappa", "1", "--sector", "-",
+                "--n", "0..2"]
+        command = cli._build_parser().commands["params"]
+        read = cli._read(command, argv[1:])
+        assert read is not None and _same_namespace(read, command.parse_known_args(argv[1:])[0])
+        calls = self.spy_on_commands(monkeypatch)
+        assert run_main(argv)[0] == 0
+        assert calls == []
+
     @staticmethod
     def spy_on_commands(monkeypatch):
         """Record the argv of every subcommand parser's ``parse_known_args``."""
@@ -757,6 +819,22 @@ class TestOptionValues:
         code, out, err = run_main(exp_form)
         assert code == 0, err
         assert (code, out) == run_main(plain_form)[:2]
+
+    @pytest.mark.parametrize("argv, option, value, joined", [
+        (["params", "--model", "two-photon", "--g", "0.3"], "--n", "-2..2", (0, "")),
+        # read joined, the grid's first coupling is then refused as a g
+        (["collapse", "--model", "two-photon", "--cutoff", "40", "-k", "3"], "--grid", "-0.3,0.3",
+         (1, "rabi-spectra: error: g must be a positive finite number, got -0.3\n")),
+    ])
+    def test_value_starting_with_a_dash_is_read_joined_by_equals(self, argv, option, value, joined):
+        # as its own token, a value that starts with '-' and is not one number reads as an option
+        code, out, err = run_main([*argv, option, value])
+        assert (code, out) == (1, "")
+        assert err.endswith(f"rabi-spectra {argv[0]}: error: argument {option}: expected one argument\n")
+        code, out, err = run_main([*argv, f"{option}={value}"])
+        assert (code, err) == joined
+        if code == 0:
+            assert [row["n"] for row in parse_csv(out)] == [str(n) for n in range(-2, 3)] * 4
 
     @pytest.mark.parametrize("argv, option", [
         (["classify", "--model", "two-photon", "--g", "0.3", "--kappa", "5",

@@ -1,8 +1,12 @@
 """Tests for the model reductions: sector Jacobi parameters, dense finite
 sections, block-diagonalisation, and the symbolic phase prediction."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rabi_spectra.models as models
 from rabi_spectra import (
@@ -25,10 +29,12 @@ from rabi_spectra import (
     jacobi_params,
     monodromy,
     predicted_phase,
+    predicted_phases,
     sector_basis_index,
     sectors,
 )
 from rabi_spectra.modulation import PeriodicModulation, exact_edge_indicator
+from test_cli import _FLOAT_VALUES
 
 ALL_SECTOR_LABELS = {
     "intensity": ("-", "+"),
@@ -521,6 +527,80 @@ class TestPredictedPhase:
     def test_kappa_zero_propagates_degeneracy(self):
         with pytest.raises(DegenerateParameterError):
             predicted_phase(IntensityDependent(g=0.5, delta=0, kappa=0.0), SectorLabel(1))
+
+
+# the CLI grammar test's edge floats, as model parameters
+_FINITE = tuple(x for x in map(float, _FLOAT_VALUES) if math.isfinite(x))
+_POSITIVE = tuple(x for x in _FINITE if x > 0.0)
+
+
+def _pool(*extra):
+    return st.sampled_from(_FINITE + extra)
+
+
+def _anisotropic_couplings():
+    free = st.tuples(st.sampled_from(_POSITIVE), st.sampled_from(_POSITIVE))
+    # the mean at 1/2
+    mean = st.sampled_from((0.1, 0.25, 0.3, 0.49999999999999994)).map(lambda d: (0.5 + d, 0.5 - d))
+    # the half-difference at 1/2, the means of 1e6 and 1e9 where the exact sum takes over
+    diff = st.tuples(st.sampled_from(_POSITIVE + (1e6, 1e9)), st.booleans()).map(
+        lambda mb: (mb[0] + 1.0, mb[0]) if mb[1] else (mb[0], mb[0] + 1.0))
+    return st.one_of(free, mean, diff).filter(lambda gg: gg[0] != gg[1])
+
+
+def _stark_couplings():
+    free = st.tuples(st.sampled_from(_POSITIVE), _pool(1.0, -1.0))
+    circle = st.sampled_from(tuple(k for k in _FINITE if abs(k) < 1.0) + (0.6, -0.999)).map(
+        lambda k: (float(np.sqrt(1.0 - k * k) / 2.0), k))
+    return st.one_of(free, circle)
+
+
+_PHASE_MODELS = st.one_of(
+    st.builds(IntensityDependent, g=st.sampled_from(_POSITIVE), delta=_pool(1e9),
+              kappa=st.sampled_from((0.0, 1e-6) + _POSITIVE)),
+    st.builds(TwoPhoton, g=st.sampled_from(_POSITIVE), delta=_pool()),
+    st.builds(lambda gg, delta: AnisotropicTwoPhoton(*gg, delta),
+              _anisotropic_couplings(), _pool()),
+    st.builds(lambda gk, delta: TwoPhotonRabiStark(gk[0], delta, gk[1]), _stark_couplings(), _pool()),
+)
+
+
+def _report_fields(report):
+    """Every field of a report, its floats as their bits."""
+    ind, hl = report.indicator, report.essential_spectrum
+    floats = [report.trace]
+    if ind is not None:
+        floats += [ind.c1, ind.c0, *(x for term in ind.terms for x in term)]
+    if hl is not None:
+        floats.append(hl.endpoint)
+    shape = (len(ind.terms) if ind else None, hl.direction if hl else None)
+    return report.kind, report.notes, shape, [struct.pack("<d", x) for x in floats]
+
+
+class TestPredictedPhases:
+    @given(model=_PHASE_MODELS)
+    # every critical set, and the exact sums at large anisotropic means and beside a large delta
+    @example(model=TwoPhoton(g=0.5, delta=1.0))
+    @example(model=AnisotropicTwoPhoton(g_plus=0.75, g_minus=0.25, delta=1.0))
+    @example(model=AnisotropicTwoPhoton(g_plus=1e6 + 1.0, g_minus=1e6, delta=1.0))
+    @example(model=AnisotropicTwoPhoton(g_plus=1e9, g_minus=1e9 + 1.0, delta=-1.0))
+    @example(model=TwoPhotonRabiStark(g=float(np.sqrt(1.0 - 0.36) / 2.0), delta=1.0, kappa=0.6))
+    @example(model=TwoPhotonRabiStark(g=0.3, delta=1.0, kappa=-1.0))
+    @example(model=IntensityDependent(g=0.5, delta=1e9, kappa=1e-6))
+    @settings(max_examples=400, deadline=None)
+    def test_shared_monodromies_equal_a_call_per_sector(self, model):
+        labels = sectors(model)
+        try:
+            together = predicted_phases(model, labels)
+        except Exception as exc:
+            # the same first error as one call per sector
+            with pytest.raises(type(exc)) as alone:
+                for sector in labels:
+                    predicted_phase(model, sector)
+            assert type(alone.value) is type(exc) and str(alone.value) == str(exc)
+            return
+        alone = [predicted_phase(model, sector) for sector in labels]
+        assert list(map(_report_fields, together)) == list(map(_report_fields, alone))
 
 
 class TestCarlemanHelpers:
