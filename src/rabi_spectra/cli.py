@@ -418,12 +418,12 @@ def _build_parser() -> _Parser:
     # main hands a subcommand's arguments straight to its parser in here
     parser.commands = sub.choices
 
-    def common(p: argparse.ArgumentParser, one_sector: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, sector: str | None = "all") -> None:
         _add_model_args(p)
-        if one_sector:
+        if sector == "default":
             p.add_argument("--sector", default="default",
                            help="one sector label (default 0+, or + for the intensity model)")
-        else:
+        elif sector:
             p.add_argument("--sector", default="all", help="sector label or 'all' (default all)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
@@ -448,7 +448,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("collapse", help="gap statistics along a coupling grid")
-    common(p, one_sector=True)
+    common(p, sector="default")
     p.add_argument("--grid", required=True,
                    help="start:stop:step or comma list of couplings; the grid value "
                         "replaces g (anisotropic: the mean coupling, anisotropy fixed); "
@@ -459,14 +459,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=cmd_collapse)
 
     p = sub.add_parser("edge", help="eigenvalue counts near the predicted spectral edge")
-    common(p, one_sector=True)
+    common(p, sector="default")
     p.add_argument("--cutoffs", default="200,400,800", help="comma list (default 200,400,800)")
     p.add_argument("--window-width", type=float, default=5.0)
     p.set_defaults(fn=cmd_edge)
 
     p = sub.add_parser("verify-decomp",
                        help="entrywise check that sector reordering block-diagonalises")
-    common(p)
+    common(p, sector=None)  # the check covers every sector
     p.add_argument("--cutoff", type=int, default=200)
     p.set_defaults(fn=cmd_verify_decomp)
 

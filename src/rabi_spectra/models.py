@@ -480,15 +480,18 @@ def decomposition_check(model: ModelSpec, cutoff: int) -> DecompositionCheck:
     cutoff = int(cutoff)
     if cutoff < 8:
         raise ValueError("cutoff must be at least 8")
+    # truncations first: they refuse entries float64 cannot hold before H computes them
+    sections = {sector: jacobi_params(model, sector).truncation(
+        (cutoff - (sector.mu or 0) + model.step - 1) // model.step) for sector in sectors(model)}
     H = hamiltonian_matrix(model, cutoff)
     cross = np.ones(H.shape, dtype=bool)
     max_block = max_boundary = 0.0
     tiled = 0
-    for sector in sectors(model):
-        L = (cutoff - (sector.mu or 0) + model.step - 1) // model.step
+    for sector, section in sections.items():
+        L = section.n_max
         chain = [_product_index(*sector_basis_index(model, sector, n), cutoff) for n in range(L)]
         block = np.ix_(chain, chain)
-        dev = np.abs(H[block] - jacobi_params(model, sector).truncation(L).dense())
+        dev = np.abs(H[block] - section.dense())
         max_block = np.maximum(max_block, dev[:-1, :-1].max(initial=0.0))
         max_boundary = np.maximum(max_boundary, np.maximum(dev[-1].max(), dev[:, -1].max()))
         cross[block] = False
@@ -529,10 +532,10 @@ def predicted_phases(model: ModelSpec, labels: Sequence[SectorLabel]) -> list[Ph
     once per distinct pair of the modulation's alpha and beta values, all
     that its transfer matrices read: sectors whose alpha and beta agree
     (both photon parities of the two-photon family, and both signs of the
-    two-photon and intensity models) share one product, the same numpy
-    chain each would form.  Every sector's modulation is still built and
-    validated, in the order given, so the first error raised is the one a
-    call per sector raises.
+    two-photon and intensity models) share one product, with the bits each
+    would form.  Every sector's modulation is still built and validated, in the
+    order given, so the first error raised is the one a call per sector
+    raises.
 
     In critical regimes the essential half-line is computed from the edge
     indicator polynomial and cross-checked against the closed-form endpoint

@@ -125,12 +125,33 @@ class PeriodicModulation:
         return b, a
 
 
-def _transfer_matrices(mod: PeriodicModulation) -> list[np.ndarray]:
-    # T_0 .. T_(N-1), divided as Python floats: the IEEE divisions numpy makes
-    # on its scalars, without numpy's overflow warning
-    alpha, beta = mod.alpha.tolist(), mod.beta.tolist()
-    return [np.array([[0.0, 1.0], [-alpha[n - 1] / alpha[n], -beta[n] / alpha[n]]])
-            for n in range(len(alpha))]
+def _transfer_rows(alpha, beta) -> list[tuple]:
+    """Each step's transfer-matrix row (p_n, q_n) = (-alpha_(n-1)/alpha_n, -beta_n/alpha_n).
+
+    The other row is (0, 1).  ``alpha`` and ``beta`` are lists of Python
+    floats (a quotient that overflows is inf, without a warning) or of
+    ``Fraction``s.
+    """
+    return [(-alpha[n - 1] / alpha[n], -beta[n] / alpha[n]) for n in range(len(alpha))]
+
+
+def _period_product(rows, i: int) -> tuple[tuple, tuple]:
+    """The one-period product T_(i+N-1) ... T_(i+1) T_i of ``_transfer_rows``, as nested tuples.
+
+    From the integer identity, each step multiplies T = ((0, 1), (p, q)) on
+    the left.  An entry, row (u, v) of T times column (x, y), is (0 + u*x) + v*y:
+    no fused multiply-add, and summed from +0.0, so a -0.0 sum is +0.0 and
+    0 * inf is NaN.  Overflow makes inf or NaN without a warning; callers
+    check what they report.  Python floats round alike whatever BLAS numpy
+    links, and ``Fraction`` rows give the exact product.
+    """
+    N = len(rows)
+    x00, x01, x10, x11 = 1, 0, 0, 1
+    for n in range(i, i + N):
+        p, q = rows[n % N]
+        x00, x01, x10, x11 = ((0 + 0 * x00) + 1 * x10, (0 + 0 * x01) + 1 * x11,
+                              (0 + p * x00) + q * x10, (0 + p * x01) + q * x11)
+    return (x00, x01), (x10, x11)
 
 
 def transfer_matrix(mod: PeriodicModulation, n: int) -> np.ndarray:
@@ -139,33 +160,14 @@ def transfer_matrix(mod: PeriodicModulation, n: int) -> np.ndarray:
     Rows ((0, 1), (-alpha_(n-1)/alpha_n, -beta_n/alpha_n)); its determinant
     is alpha_(n-1)/alpha_n, which telescopes to 1 over a period.
     """
-    return _transfer_matrices(mod)[n % mod.period]
-
-
-def _period_products(mod: PeriodicModulation, starts) -> list[np.ndarray]:
-    """The one-period products T_(i+N-1) ... T_(i+1) T_i for each start i.
-
-    Each product is a chain of numpy matmuls, whose rounding printed traces
-    depend on.  numpy's matmul sums from +0.0, so a product with the identity
-    is its factor plus 0.0: the first factor gets that addition in place of
-    the product, which leaves every finite entry's bits as if the chain
-    started from the identity (its -0.0 becomes +0.0).  Overflow makes inf or
-    NaN entries, without a warning; callers check what they report.
-    """
-    ts, N = _transfer_matrices(mod), mod.period
-    products = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in starts:
-            out = ts[i] + 0.0
-            for n in range(i + 1, i + N):
-                out = ts[n % N] @ out
-            products.append(out)
-    return products
+    p, q = _transfer_rows(mod.alpha.tolist(), mod.beta.tolist())[n % mod.period]
+    return np.array([[0.0, 1.0], [p, q]])
 
 
 def cyclic_monodromies(mod: PeriodicModulation) -> np.ndarray:
     """All N cyclic one-period products, shape (N, 2, 2); index i starts at step i."""
-    return np.array(_period_products(mod, range(mod.period)))
+    rows = _transfer_rows(mod.alpha.tolist(), mod.beta.tolist())
+    return np.array([_period_product(rows, i) for i in range(mod.period)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,8 @@ def monodromy(mod: PeriodicModulation, critical_trace: float | None = None) -> M
     raised.  Criticality is a measure-zero condition, so it is never
     inferred from the floating-point trace alone.
     """
-    (X0,) = _period_products(mod, (0,))
-    (x00, x01), (x10, x11) = X0.tolist()
+    rows = _transfer_rows(mod.alpha.tolist(), mod.beta.tolist())
+    (x00, x01), (x10, x11) = X0 = _period_product(rows, 0)
     trace = x00 + x11
     if critical_trace is not None:
         critical_trace = float(critical_trace)
@@ -217,7 +219,7 @@ def monodromy(mod: PeriodicModulation, critical_trace: float | None = None) -> M
     scalar = abs(x01) <= 1e-12 and abs(x10) <= 1e-12 and any(
         abs(x00 - e) <= 1e-12 and abs(x11 - e) <= 1e-12 for e in (1.0, -1.0)
     )
-    return Monodromy(X0, trace, sign, scalar, critical_trace)
+    return Monodromy(np.array(X0, dtype=float), trace, sign, scalar, critical_trace)
 
 
 class PhaseKind(enum.Enum):
@@ -298,23 +300,23 @@ def edge_indicator(
     """
     if classify(mono) is not PhaseKind.CRITICAL_HALF_LINE:
         raise PhaseStateError("edge indicator is defined only in the critical phase")
-    eps = mono.trace_sign
     N = mod.period
-    s = np.asarray(s, dtype=float)
-    r = np.asarray(r, dtype=float)
+    s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
     if s.shape != (N,) or r.shape != (N,):
         raise ValueError("limit sequences must have one entry per period step")
-    alpha, s, r = mod.alpha.tolist(), s.tolist(), r.tolist()
-    terms = []
-    for i, Xi in enumerate([mono.matrix, *_period_products(mod, range(1, N))]):
-        (x00, _), (x10, _) = Xi.tolist()
-        a_prev = alpha[i - 1]
-        slope = -eps * x10 / a_prev
-        const = (s[i] / a_prev) * (1.0 - eps * x00) - eps * (r[i] / a_prev) * x10
-        terms.append((slope, const))
+    rows = _transfer_rows(mod.alpha.tolist(), mod.beta.tolist())
+    products = [mono.matrix.tolist(), *(_period_product(rows, i) for i in range(1, N))]
+    terms = _indicator_terms(mono.trace_sign, products, mod.alpha.tolist(), s.tolist(), r.tolist())
     c1 = float(sum(t for t, _ in terms))
     c0 = float(sum(c for _, c in terms))
     return EdgeIndicator(c1, c0, tuple(terms))
+
+
+def _indicator_terms(eps: int, products, alpha, s, r) -> list[tuple]:
+    # each start i's (slope, constant) from its cyclic product, in floats or Fractions
+    return [(-eps * x10 / alpha[i - 1],
+             (s[i] / alpha[i - 1]) * (1 - eps * x00) - eps * (r[i] / alpha[i - 1]) * x10)
+            for i, ((x00, _), (x10, _)) in enumerate(products)]
 
 
 @dataclass(frozen=True)
@@ -367,20 +369,14 @@ def exact_edge_indicator(mod: PeriodicModulation, mono: Monodromy) -> tuple[Edge
 
     if classify(mono) is not PhaseKind.CRITICAL_HALF_LINE:
         raise PhaseStateError("edge indicator is defined only in the critical phase")
-    eps, N = mono.trace_sign, mod.period
     alpha, beta, gamma = ([Fraction(x) for x in v.tolist()] for v in (mod.alpha, mod.beta, mod.gamma))
     half_ts = (Fraction(mod.t) + Fraction(mod.s)) / 2
-    terms = []
-    for i in range(N):
-        # the cyclic monodromy from step i; each transfer matrix has first row (0, 1)
-        x = ((1, 0), (0, 1))
-        for n in range(i, i + N):
-            t10, t11 = -alpha[(n - 1) % N] / alpha[n % N], -beta[n % N] / alpha[n % N]
-            x = (x[1], (t10 * x[0][0] + t11 * x[1][0], t10 * x[0][1] + t11 * x[1][1]))
-        a_prev = alpha[(i - 1) % N]
-        # s_i = alpha_(i-1), so s_i / alpha_(i-1) = 1; r_i = (beta_i / 2)(t + s) - gamma_i
-        r = beta[i] * half_ts - gamma[i]
-        terms.append((-eps * x[1][0] / a_prev, (1 - eps * x[0][0]) - eps * (r / a_prev) * x[1][0]))
+    rows = _transfer_rows(alpha, beta)
+    # limit_sequences: s_i = alpha_(i-1) and r_i = (beta_i / 2)(t + s) - gamma_i
+    s = alpha[-1:] + alpha[:-1]
+    r = [b * half_ts - g for b, g in zip(beta, gamma)]
+    products = [_period_product(rows, i) for i in range(mod.period)]
+    terms = _indicator_terms(mono.trace_sign, products, alpha, s, r)
     c1, c0 = sum(t for t, _ in terms), sum(c for _, c in terms)
     if c1 == 0:
         raise DegenerateIndicatorError(

@@ -245,21 +245,21 @@ class TestSharedMonodromy:
     ], ids=lambda value: value[1] if isinstance(value, list) else str(value))
     def test_products_and_sector_builds(self, monkeypatch, argv, products):
         starts, built = [], []
-        period_products, jacobi_params = modulation._period_products, models.jacobi_params
+        period_product, jacobi_params = modulation._period_product, models.jacobi_params
 
-        def spy_products(mod, first):
-            starts.append(tuple(first))
-            return period_products(mod, first)
+        def spy_product(rows, i):
+            starts.append(i)
+            return period_product(rows, i)
 
         def spy_params(model, sector):
             built.append(str(sector))
             return jacobi_params(model, sector)
 
-        monkeypatch.setattr(modulation, "_period_products", spy_products)
+        monkeypatch.setattr(modulation, "_period_product", spy_product)
         monkeypatch.setattr(models, "jacobi_params", spy_params)
         code, out, err = run_main(["classify", *argv, "--sector", "all"])
         assert code == 0, err
-        assert starts == [(0,)] * products
+        assert starts == [0] * products
         labels = ["-", "+"] if argv[1] == "intensity" else ["0-", "0+", "1-", "1+"]
         assert built == [row["sector"] for row in parse_csv(out)] == labels
 
@@ -441,6 +441,12 @@ class TestNonFiniteResults:
         # s = 2 kappa = inf: the exact re-sum raised an OverflowError traceback
         pytest.param(["classify", "--model", "intensity", "--g", "0.5", "--kappa", "1e308"],
                      "t and s must be positive and finite", id="offset-inf"),
+        # the dense matrix's couplings overflowed with a RuntimeWarning before a truncation
+        # refused them
+        pytest.param(["verify-decomp", "--model", "intensity", "--g", "1e300", "--kappa", "1e154",
+                      "--cutoff", "10"],
+                     "offdiag entries must be strictly positive and at most sqrt(float max)",
+                     id="verify-decomp-coupling-inf"),
     ])
     def test_exits_one_with_one_error_line(self, argv, message):
         with warnings.catch_warnings():
@@ -547,8 +553,10 @@ class TestArgvGrammar:
     def test_solver_commands_exit_and_print_as_documented(
             self, command, model, values, own_only, on_circle, sector, fmt, cutoff, window, tol,
             grid, k, cutoffs, width):
-        # the classify/params rules, with cutoffs <= 40; collapse may warn on exit 0
-        argv = [command, "--model", model, f"--sector={sector}", f"--format={fmt}"]
+        # the classify/params rules, with cutoffs <= 40; collapse may warn on exit 0;
+        # verify-decomp checks every sector and takes no --sector
+        argv = [command, "--model", model, f"--format={fmt}"]
+        argv += [f"--sector={sector}"] * (command != "verify-decomp")
         argv += [f"{cli._flag(p)}={v}" for p, v in values.items()
                  if v is not None and (p in cli._FIELDS[model] or not own_only)]
         argv += ["--on-circle"] * on_circle
@@ -595,7 +603,7 @@ def _full_tree_main(argv):
 
 _COMMANDS = ("classify", "params", "spectrum", "collapse", "edge", "verify-decomp")
 # tokens that no subcommand takes where they are put, or that argparse reads specially
-_STRAYS = ("stray", "--bogus", "--", "-x", "--mod", "--he", "-1e-05", "-h", "--delta")
+_STRAYS = ("stray", "--bogus", "--", "-x", "--mod", "--he", "-1e-05", "-h", "--delta", "--sector")
 
 
 @st.composite
@@ -613,9 +621,10 @@ def _grammar_argv(draw):
         joined = joining == "joined" or joining == "mixed" and draw(st.booleans())
         return [f"{flag}={value}"] if joined else [flag, value]
 
-    groups = [["--model", model],
-              option("--sector", draw(st.sampled_from(("default", "all", "+", "-", "0-", "1+")))),
-              option("--format", draw(st.sampled_from(("csv", "json"))))]
+    groups = [["--model", model], option("--format", draw(st.sampled_from(("csv", "json"))))]
+    if command != "verify-decomp":
+        groups.append(option("--sector",
+                             draw(st.sampled_from(("default", "all", "+", "-", "0-", "1+")))))
     for param in cli._PARAMS:
         for value in draw(st.lists(st.sampled_from(_EDGE_VALUES), max_size=2)):
             groups.append(option(cli._flag(param), value))
@@ -800,6 +809,36 @@ class TestDispatch:
         assert run_main(["--help"])[0] == 0
         assert run_main(["nope"])[0] == 1
         assert calls == [["--help"], ["nope"]]
+
+
+class TestEveryOptionIsRead:
+    """Each option a subcommand's parser defines is one its command reads."""
+
+    CALLS = (
+        ["classify", "--model", "two-photon", "--g", "0.3"],
+        ["params", "--model", "two-photon", "--g", "0.3", "--n", "0..2"],
+        ["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "0+", "--cutoff", "10"],
+        ["collapse", "--model", "two-photon", "--grid", "0.3,0.31", "--cutoff", "40", "-k", "3"],
+        ["edge", "--model", "two-photon", "--g", "critical", "--cutoffs", "20,40"],
+        ["verify-decomp", "--model", "two-photon", "--g", "0.7", "--cutoff", "20"],
+    )
+
+    def test_one_call_per_command_reads_every_option(self):
+        assert [argv[0] for argv in self.CALLS] == list(cli._build_parser().commands)
+        for argv in self.CALLS:
+            read = set()
+
+            class Spy(argparse.Namespace):
+                def __getattribute__(self, name):
+                    read.add(name)
+                    return super().__getattribute__(name)
+
+            args = cli._build_parser().commands[argv[0]].parse_args(argv[1:], namespace=Spy())
+            command = args.fn
+            read.clear()  # argparse reads the namespace while it fills it
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert command(args) == 0, argv
+            assert set(vars(args)) - {"fn"} - read == set(), argv
 
 
 class TestOptionValues:

@@ -8,6 +8,7 @@ digit at 1e-12 scale.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,11 +166,14 @@ class TestMonodromy:
 
 def _identity_started(mod: PeriodicModulation, start: int) -> np.ndarray:
     # the reference product: from np.eye(2), each transfer matrix divided as
-    # numpy scalars and multiplied on by numpy's matmul
+    # numpy scalars and multiplied on by elementwise ufuncs in the documented
+    # order, entry (r, c) = (0 + T[r, 0] X[0, c]) + T[r, 1] X[1, c], so no BLAS
+    # kernel and no fused multiply-add takes part
     N, out = mod.period, np.eye(2)
     for n in range(start, start + N):
         a_prev, a_cur = mod.alpha[(n - 1) % N], mod.alpha[n % N]
-        out = np.array([[0.0, 1.0], [-a_prev / a_cur, -mod.beta[n % N] / a_cur]]) @ out
+        T = np.array([[0.0, 1.0], [-a_prev / a_cur, -mod.beta[n % N] / a_cur]])
+        out = np.add(np.add(0.0, np.multiply(T[:, :1], out[:1])), np.multiply(T[:, 1:], out[1:]))
     return out
 
 
@@ -190,26 +194,29 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _same_bits(x, ref) -> bool:
+    """NaN where ``ref`` is NaN, and the bits of ``ref`` everywhere else."""
+    x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
+    nan = np.isnan(ref)
+    return bool((np.isnan(x) == nan).all()) and _bits(x[~nan]) == _bits(ref[~nan])
+
+
 def assert_products_match_identity_started(mod: PeriodicModulation) -> None:
-    """Where the reference is finite, every product entry, trace, indicator
-    term and endpoint has its bits, and the trace is finite exactly where the
-    reference's is.  An entry may be finite where the reference's is NaN: the
-    product with the identity multiplies an infinite entry by 0."""
+    """Every product entry and the trace have the reference's bits, or are
+    NaN where it is; where the products are finite, so do the indicator
+    terms and the endpoint."""
     N = mod.period
     with np.errstate(all="ignore"):
         refs = [_identity_started(mod, i) for i in range(N)]
-        ref_trace = float(refs[0][0, 0] + refs[0][1, 1])
+        ref_trace = refs[0][0, 0] + refs[0][1, 1]
         for n in range(N + 1):
             ref = np.array([[0.0, 1.0], [-mod.alpha[(n - 1) % N] / mod.alpha[n % N],
                                          -mod.beta[n % N] / mod.alpha[n % N]]])
             assert _bits(transfer_matrix(mod, n)) == _bits(ref)
     mono = monodromy(mod)
     for X, ref in zip([mono.matrix, *cyclic_monodromies(mod)], [refs[0], *refs]):
-        finite = np.isfinite(ref)
-        assert _bits(X[finite]) == _bits(ref[finite])
-    assert math.isfinite(mono.trace) == math.isfinite(ref_trace)
-    if math.isfinite(ref_trace):
-        assert _bits(mono.trace) == _bits(ref_trace)
+        assert _same_bits(X, ref)
+    assert _same_bits(mono.trace, ref_trace)
     np.testing.assert_array_equal(limit_sequences(mod)[0], np.roll(mod.alpha, 1))
     if not all(np.isfinite(ref).all() for ref in refs):
         return
@@ -225,9 +232,23 @@ def assert_products_match_identity_started(mod: PeriodicModulation) -> None:
             assert _bits(essential_halfline(ind).endpoint) == _bits(-c0 / c1)
 
 
+def _random_modulations(seed: int) -> tuple[PeriodicModulation, PeriodicModulation]:
+    """A random modulation of period 1 to 4, and the same steps with couplings near 1."""
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(1, 5))
+    # couplings log-uniform in [1e-300, 1e154]; beta is 0 at a quarter of the steps
+    alpha = 10.0 ** rng.uniform(-300.0, 154.0, N)
+    beta = rng.uniform(-3.0, 3.0, N) * 10.0 ** rng.uniform(-3.0, 3.0, N)
+    beta[rng.random(N) < 0.25] = 0.0
+    mod = PeriodicModulation(alpha=alpha, beta=beta, gamma=rng.uniform(-2.0, 2.0, N),
+                             t=rng.uniform(0.1, 3.0), s=rng.uniform(0.1, 3.0))
+    # where the products stay finite
+    return mod, replace(mod, alpha=rng.uniform(0.2, 3.0, N))
+
+
 class TestIdentityStartedBits:
-    """The period products start from their first factor and reuse the
-    monodromy for start 0; these are the identity-started bits."""
+    """The period products start from the identity and form every entry in
+    one documented order; the monodromy's matrix is the product for start 0."""
 
     def test_period_one_zero_entry_is_positive(self):
         # beta = 0: T[1, 1] = -0.0, which a product with the identity makes +0.0
@@ -255,17 +276,71 @@ class TestIdentityStartedBits:
     @given(st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None)
     def test_random_modulations(self, seed):
-        rng = np.random.default_rng(seed)
-        N = int(rng.integers(1, 5))
-        # couplings log-uniform in [1e-300, 1e154]; beta is 0 at a quarter of the steps
-        alpha = 10.0 ** rng.uniform(-300.0, 154.0, N)
-        beta = rng.uniform(-3.0, 3.0, N) * 10.0 ** rng.uniform(-3.0, 3.0, N)
-        beta[rng.random(N) < 0.25] = 0.0
-        mod = PeriodicModulation(alpha=alpha, beta=beta, gamma=rng.uniform(-2.0, 2.0, N),
-                                 t=rng.uniform(0.1, 3.0), s=rng.uniform(0.1, 3.0))
-        assert_products_match_identity_started(mod)
-        # the same steps with couplings near 1, where the products stay finite
-        assert_products_match_identity_started(replace(mod, alpha=rng.uniform(0.2, 3.0, N)))
+        for mod in _random_modulations(seed):
+            assert_products_match_identity_started(mod)
+
+
+_U = 2.0 ** -53      # unit roundoff of float64
+_ETA = 2.0 ** -1074  # spacing of the subnormals
+
+
+def _mp_product(factors) -> list[list]:
+    """factors[-1] ... factors[1] factors[0] in mpmath, the 2 x 2 factors as nested lists."""
+    out = [[mpmath.mpf(1), mpmath.mpf(0)], [mpmath.mpf(0), mpmath.mpf(1)]]
+    for F in factors:
+        out = [[F[r][0] * out[0][c] + F[r][1] * out[1][c] for c in (0, 1)] for r in (0, 1)]
+    return out
+
+
+class TestProductOracle:
+    """Every product entry and trace lies within a written-out bound of the
+    exact product of the same float factors, formed by mpmath at 50 digits.
+
+    Each step forms an entry as (0 + a x) + b y: two rounded products and one
+    rounded sum, so its error is at most gamma_2 (|a| |x| + |b| |y|) + 2 eta,
+    with gamma_2 = 2u / (1 - 2u), u = 2^-53, and eta = 2^-1074 for each
+    product that underflows.  By induction over the N steps of a period, with
+    A = |T_N| ... |T_1|, B_j = |T_N| ... |T_(j+1)| and J the all-ones matrix,
+
+        |X - P| <= ((1 + gamma_2)^N - 1) A + 2 (1 + gamma_2)^N eta sum_j B_j J.
+
+    For N <= 4 the two factors are below (2N + 1) u and 3 eta, which also
+    covers the 50-digit rounding of P.  The trace adds one rounded sum:
+    |trace - tr P| <= E_00 + E_11 + u |x_00 + x_11|.  The bound holds where an
+    entry is finite: an inf never becomes finite again, and 0 * inf is NaN.
+    The modulations are those of ``TestIdentityStartedBits``.
+    """
+
+    @staticmethod
+    def assert_within_bound(mod: PeriodicModulation) -> None:
+        N = mod.period
+        steps = [[[mpmath.mpf(x) for x in row] for row in transfer_matrix(mod, n).tolist()]
+                 for n in range(N)]
+        mono = monodromy(mod)
+        for i, X in enumerate(cyclic_monodromies(mod)):
+            factors = [steps[n % N] for n in range(i, i + N)]
+            absolute = [[[abs(x) for x in row] for row in F] for F in factors]
+            P, A = _mp_product(factors), _mp_product(absolute)
+            # row r of sum_j B_j J: the row sums of each tail product
+            tails = [_mp_product(absolute[j:]) for j in range(1, N + 1)]
+            under = [sum(B[r][0] + B[r][1] for B in tails) for r in (0, 1)]
+            E = [[(2 * N + 1) * _U * A[r][c] + 3 * _ETA * under[r] for c in (0, 1)] for r in (0, 1)]
+            for r in (0, 1):
+                for c in (0, 1):
+                    if math.isfinite(X[r, c]):
+                        assert abs(mpmath.mpf(float(X[r, c])) - P[r][c]) <= E[r][c], (i, r, c)
+            if i == 0:
+                assert _bits(mono.matrix) == _bits(X)
+                if math.isfinite(mono.trace):
+                    error = abs(mpmath.mpf(mono.trace) - (P[0][0] + P[1][1]))
+                    assert error <= E[0][0] + E[1][1] + _U * abs(mono.trace)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_random_modulations(self, seed):
+        with mpmath.workdps(50):
+            for mod in _random_modulations(seed):
+                self.assert_within_bound(mod)
 
 
 class TestClassify:
