@@ -4,9 +4,16 @@ Emits deterministic CSV or JSON: fixed sector order, shortest round-trip
 float formatting, no timestamps.  Run metadata is confined to a single
 comment header line (CSV) or a "meta" object (JSON).
 
+Each ``cmd_*`` validates and computes, then returns ``(meta, header,
+rows)`` with ``rows`` any iterable; ``main`` alone writes them, to stdout
+or ``--out``, and maps errors to exit codes.  A command runs every check
+before it returns, so its rows cannot fail and a nonzero exit prints
+nothing.  CSV rows are written as they are produced (``params`` forms one
+sector's Python floats at a time); JSON is written whole.
+
 Exit codes: 0 success, 1 usage or parameter-validation errors, results
-float64 cannot hold (a trace, indicator or a(n), b(n) that is inf or NaN,
-checked before anything prints) and an --out path that cannot be written, 2
+float64 cannot hold (a trace, indicator, a(n), b(n) or decomposition
+deviation that is inf or NaN) and an --out path that cannot be written, 2
 regime errors (degenerate parameters, unsupported classification regimes,
 and parameters where float64 cannot confirm the closed-form edge).
 
@@ -21,16 +28,16 @@ parser tree is built on the first call and shared.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import re
 import sys
 from dataclasses import fields
 from gettext import gettext
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -232,38 +239,17 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
     return cutoffs
 
 
-def _emit(meta: dict, header: list[str], rows: list[list], args: argparse.Namespace) -> None:
-    # commands build meta and rows from Python scalars and str (no None in
-    # meta): json and csv write a float by repr and a None cell as null / ""
-    if args.format == "json":
-        payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        meta_line = " ".join(f"{k}={v}" for k, v in meta.items())
-        buf.write(f"# {meta_line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _model_meta(model: ModelSpec) -> dict:
     return {"model": model.name, **{p: getattr(model, p) for p in _FIELDS[model.name]}}
 
 
-def _check_finite(values, what: str, sector: SectorLabel) -> None:
+def _check_finite(finite: bool, what: str) -> None:
     # a float64 overflow (inf) or an undefined product (nan) must not print
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} of sector {sector} is not finite in float64 at these parameters")
+    if not finite:
+        raise ValueError(f"{what} is not finite in float64 at these parameters")
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     model = _build_model(args)
     header = [
         "model", "sector", "trace", "kind", "clause",
@@ -273,40 +259,38 @@ def cmd_classify(args: argparse.Namespace) -> int:
     labels = _select_sectors(model, args.sector)
     for sector, report in zip(labels, predicted_phases(model, labels)):
         ind, hl = report.indicator, report.essential_spectrum
-        _check_finite([report.trace, ind.c1, ind.c0, hl.endpoint] if hl else [report.trace],
-                      "the trace or edge indicator", sector)
+        values = [report.trace, ind.c1, ind.c0, hl.endpoint] if hl else [report.trace]
+        _check_finite(all(map(math.isfinite, values)),
+                      f"the trace or edge indicator of sector {sector}")
         rows.append([
             model.name, str(sector), report.trace, report.kind.value, report.notes,
             ind.c1 if ind else None, ind.c0 if ind else None,
             hl.endpoint if hl else None, hl.direction if hl else None,
         ])
-    meta = {"command": "classify", **_model_meta(model)}
-    _emit(meta, header, rows, args)
-    return EXIT_OK
+    return _model_meta(model), header, rows
 
 
-def cmd_params(args: argparse.Namespace) -> int:
+def cmd_params(args: argparse.Namespace) -> tuple[dict, list[str], Iterator[list]]:
     model = _build_model(args)
     indices = _parse_index_range(args.n)
-    header = ["model", "sector", "n", "a", "b"]
-    rows = []
     idx = np.array(indices, dtype=np.int64)
+    tables = []
     # an entry that overflows, or a negative index's sqrt, is checked, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for sector in _select_sectors(model, args.sector):
             params = jacobi_params(model, sector)
             # one array call per rule: the entries of a call per index, bit for bit
-            a, b = params.a(idx).tolist(), params.b(idx).tolist()
-            _check_finite(a, "a(n)", sector)
-            _check_finite(b, "b(n)", sector)
-            label = str(sector)
-            rows += ([model.name, label, n, an, bn] for n, an, bn in zip(indices, a, b))
-    meta = {"command": "params", **_model_meta(model), "n": args.n}
-    _emit(meta, header, rows, args)
-    return EXIT_OK
+            a, b = params.a(idx), params.b(idx)
+            _check_finite(np.isfinite(a).all(), f"a(n) of sector {sector}")
+            _check_finite(np.isfinite(b).all(), f"b(n) of sector {sector}")
+            tables.append((str(sector), a, b))
+    # every sector is checked: the rows hold one sector's Python floats at a time
+    rows = ([model.name, label, n, an, bn]
+            for label, a, b in tables for n, an, bn in zip(indices, a.tolist(), b.tolist()))
+    return {**_model_meta(model), "n": args.n}, ["model", "sector", "n", "a", "b"], rows
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     _check_cutoff(args.cutoff)
     model = _build_model(args)
     window = (args.window[0], args.window[1]) if args.window else None
@@ -317,14 +301,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         spec = spectrum_scan(params, args.cutoff, window=window, tol=args.tol)
         label = str(sector)
         rows += ([model.name, label, i, ev] for i, ev in enumerate(spec.eigenvalues.tolist()))
-    meta = {"command": "spectrum", **_model_meta(model), "cutoff": args.cutoff}
+    meta = {**_model_meta(model), "cutoff": args.cutoff}
     if window is not None:
         meta.update(window_lo=window[0], window_hi=window[1])
-    _emit(meta, header, rows, args)
-    return EXIT_OK
+    return meta, header, rows
 
 
-def cmd_collapse(args: argparse.Namespace) -> int:
+def cmd_collapse(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     # any given --g, the empty text included
     if args.g is not None:
         raise ValueError("collapse takes the coupling from --grid; drop --g")
@@ -354,14 +337,13 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         for g, mg, ng in zip(scan.couplings, scan.mean_gaps, scan.min_gaps)
     ]
     meta = {
-        "command": "collapse", "model": base.name, "delta": base.delta,
+        "model": base.name, "delta": base.delta,
         "sector": str(sector), "cutoff": args.cutoff, "k": args.lowest,
     }
-    _emit(meta, header, rows, args)
-    return EXIT_OK
+    return meta, header, rows
 
 
-def cmd_edge(args: argparse.Namespace) -> int:
+def cmd_edge(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     model = _build_model(args)
     sector = _one_sector(model, args.sector, "edge")
     report = predicted_phase(model, sector)
@@ -380,24 +362,21 @@ def cmd_edge(args: argparse.Namespace) -> int:
                            density.complementary_counts)
     ]
     meta = {
-        "command": "edge", **_model_meta(model), "sector": str(sector),
+        **_model_meta(model), "sector": str(sector),
         "endpoint": density.endpoint, "direction": density.direction,
         "window_width": density.window_width,
     }
-    _emit(meta, header, rows, args)
-    return EXIT_OK
+    return meta, header, rows
 
 
-def cmd_verify_decomp(args: argparse.Namespace) -> int:
+def cmd_verify_decomp(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     _check_cutoff(args.cutoff, MAX_DENSE_CUTOFF)
     model = _build_model(args)
     check = decomposition_check(model, args.cutoff)
+    deviations = [check.max_deviation, check.max_block, check.max_boundary, check.max_cross]
+    _check_finite(all(map(math.isfinite, deviations)), "a deviation of the dense check")
     header = ["cutoff", "max_deviation", "max_block", "max_boundary", "max_cross"]
-    rows = [[args.cutoff, check.max_deviation, check.max_block,
-             check.max_boundary, check.max_cross]]
-    meta = {"command": "verify-decomp", **_model_meta(model)}
-    _emit(meta, header, rows, args)
-    return EXIT_OK
+    return _model_meta(model), header, [[args.cutoff, *deviations]]
 
 
 @functools.cache
@@ -482,8 +461,9 @@ def _read(command: argparse.ArgumentParser, tokens: Sequence[str]) -> argparse.N
     help, multi-value options, stray tokens, a value other than a lone '-'
     that starts with '-' and is no negative number, a value its ``type`` or ``choices`` rejects,
     and a required option not given are argparse's to read or report.
-    Defaults are filled in argparse's order, unseen string defaults
-    converted by ``type``; a repeated option keeps its last value.
+    So is an unseen string default with a ``type``, which argparse converts
+    (no option of this tool has one).  Defaults are filled in argparse's
+    order; a repeated option keeps its last value.
     """
     options = command._option_string_actions
     values, seen = {}, set()
@@ -511,25 +491,17 @@ def _read(command: argparse.ArgumentParser, tokens: Sequence[str]) -> argparse.N
             return None
         seen.add(action)
         i += 1
-    args, unconverted = {}, []
+    args = {}
     for action in command._actions:
         dest, default = action.dest, action.default
-        if action not in seen:
-            if action.required:
-                return None
-            if isinstance(default, str) and action.type is not None:
-                unconverted.append(action)
+        if action not in seen and (
+                action.required or isinstance(default, str) and action.type is not None):
+            return None
         if dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS:
             args.setdefault(dest, default)
     for dest, default in command._defaults.items():
         args.setdefault(dest, default)
     args.update(values)
-    for action in unconverted:
-        if args.get(action.dest) is action.default:
-            try:
-                args[action.dest] = action.type(action.default)
-            except (TypeError, ValueError):
-                return None
     namespace = argparse.Namespace()
     vars(namespace).update(args)
     return namespace
@@ -553,14 +525,28 @@ def main(argv: Sequence[str] | None = None) -> int:
                 parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
         args.command = argv[0]
     try:
-        return args.fn(args)
+        # every check has run when a command returns: its rows only format what it computed
+        meta, header, rows = args.fn(args)
+        meta = {"command": args.command, **meta}
+        # commands build meta and rows from Python scalars and str (no None in
+        # meta): json and csv write a float by repr and a None cell as null / ""
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            if args.format == "json":
+                rows = [dict(zip(header, row)) for row in rows]
+                out.write(json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n")
+            else:
+                out.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+                writer = csv.writer(out, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
     except _REGIME_ERRORS as exc:
         print(f"rabi-spectra: regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except (ValueError, OSError) as exc:
-        # OSError: an --out path that cannot be written
+        # OSError: an --out path that cannot be opened or written
         print(f"rabi-spectra: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -483,7 +483,10 @@ def decomposition_check(model: ModelSpec, cutoff: int) -> DecompositionCheck:
     # truncations first: they refuse entries float64 cannot hold before H computes them
     sections = {sector: jacobi_params(model, sector).truncation(
         (cutoff - (sector.mu or 0) + model.step - 1) // model.step) for sector in sectors(model)}
-    H = hamiltonian_matrix(model, cutoff)
+    # a term such as kappa m can overflow where the entry it sums into is finite:
+    # the deviation is then inf, which the caller refuses, with no warning here
+    with np.errstate(over="ignore"):
+        H = hamiltonian_matrix(model, cutoff)
     cross = np.ones(H.shape, dtype=bool)
     max_block = max_boundary = 0.0
     tiled = 0

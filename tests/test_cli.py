@@ -1,7 +1,6 @@
 """End-to-end CLI tests run through subprocesses, plus output determinism."""
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -11,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -407,6 +407,14 @@ class TestExitCodesAndDeterminism:
         assert len(err.splitlines()) == 1
         assert not out.parent.exists()
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    def test_write_error_partway_is_exit_one(self):
+        # /dev/full opens, and every write to it fails with ENOSPC
+        code, stdout, err = run_main(["params", "--model", "two-photon", "--g", "0.3",
+                                      "--n", "0..9999", "--out", "/dev/full"])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("rabi-spectra: error: ") and len(err.splitlines()) == 1
+
 
 class TestNonFiniteResults:
     """A number float64 cannot hold exits 1 with one error line and prints nothing."""
@@ -447,6 +455,10 @@ class TestNonFiniteResults:
                       "--cutoff", "10"],
                      "offdiag entries must be strictly positive and at most sqrt(float max)",
                      id="verify-decomp-coupling-inf"),
+        # kappa m overflows in the dense diagonal where the sector entry is finite
+        pytest.param(["verify-decomp", "--model", "rabi-stark", "--g", "0.3",
+                      "--kappa=-2.9961552247705e+307", "--delta=1e308", "--cutoff", "8"],
+                     "a deviation of the dense check is not finite", id="verify-decomp-diagonal-inf"),
     ])
     def test_exits_one_with_one_error_line(self, argv, message):
         with warnings.catch_warnings():
@@ -455,6 +467,27 @@ class TestNonFiniteResults:
         assert (code, out) == (1, "")
         assert err.startswith("rabi-spectra: error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("rule", ["a", "b"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_params_checks_every_sector_before_a_row(self, monkeypatch, tmp_path, rule, fmt):
+        # rows are written as they are formed, so the last sector's check comes first too
+        argv = ["params", "--model", "two-photon", "--g", "0.3", "--n", "0..3", "--format", fmt]
+        last = sectors(TwoPhoton(g=0.3, delta=0.0))[-1]
+        evaluate = getattr(models.JacobiParams, rule)
+
+        def overflowing(params, n):
+            values = evaluate(params, n)
+            return np.full_like(values, np.inf) if params.label == last else values
+
+        monkeypatch.setattr(models.JacobiParams, rule, overflowing)
+        out = tmp_path / "table"
+        for given in ([], ["--out", str(out)]):
+            code, stdout, err = run_main(argv + given)
+            assert (code, stdout) == (1, "")
+            assert err == (f"rabi-spectra: error: {rule}(n) of sector {last} is not finite "
+                           "in float64 at these parameters\n")
+        assert not out.exists()
 
     def test_huge_stark_coupling_is_off_the_circle(self):
         # kappa^2 + 4 g^2 overflowed in a float ** (OverflowError traceback)
@@ -583,22 +616,13 @@ class TestArgvGrammar:
 
 
 def _full_tree_main(argv):
-    """``cli.main`` parsing through the whole tree: ``parse_args``, then main's error handling."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            args = cli._build_parser().parse_args(argv)
-            try:
-                code = args.fn(args)
-            except cli._REGIME_ERRORS as exc:
-                print(f"rabi-spectra: regime error: {exc}", file=sys.stderr)
-                code = cli.EXIT_REGIME
-            except (ValueError, OSError) as exc:
-                print(f"rabi-spectra: error: {exc}", file=sys.stderr)
-                code = cli.EXIT_USAGE
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    """``cli.main`` parsing through the whole tree: ``parse_args``, then main's output and errors.
+
+    The top-level parser reads every argv, in place of main's subcommand
+    parse; a help or usage error exits from it as from ``parse_args``.
+    """
+    with mock.patch.object(cli, "_read", lambda command, tokens: cli._build_parser().parse_args(argv)):
+        return run_main(argv)
 
 
 _COMMANDS = ("classify", "params", "spectrum", "collapse", "edge", "verify-decomp")
@@ -722,7 +746,7 @@ class TestDispatch:
         seen = []
         params = cli._build_parser().commands["params"]
         assert cli._read(params, argv[1:]) is not None
-        params.set_defaults(fn=lambda args: seen.append(vars(args)) or 0)
+        params.set_defaults(fn=lambda args: seen.append(vars(args)) or ({}, [], []))
         try:
             assert run_main(argv)[0] == _full_tree_main(argv)[0] == 0
         finally:
@@ -730,15 +754,20 @@ class TestDispatch:
         assert seen[0] == seen[1] and seen[0]["command"] == "params"
         assert {k: seen[0][k] for k in given} == given
 
-    def test_reader_converts_an_unseen_string_default(self):
-        # as argparse does; no option of this tool has such a default
+    def test_reader_defers_an_unseen_string_default(self):
+        # argparse converts it by its type; given, the option's value is read
         parser = cli._Parser(prog="t")
         parser.add_argument("--x", type=int, default="5")
-        parser.add_argument("--y", type=int, default="bad")
-        args = parser.parse_known_args(["--y", "1"])[0]
-        assert vars(cli._read(parser, ["--y", "1"])) == vars(args) == {"x": 5, "y": 1}
-        # argparse's usage error: invalid int value 'bad'
-        assert cli._read(parser, []) is None
+        parser.add_argument("--y", type=int)
+        assert cli._read(parser, ["--y", "1"]) is None
+        assert vars(parser.parse_known_args(["--y", "1"])[0]) == {"x": 5, "y": 1}
+        argv = ["--x", "2", "--y", "1"]
+        assert vars(cli._read(parser, argv)) == vars(parser.parse_known_args(argv)[0]) == {
+            "x": 2, "y": 1}
+        # so no call of this tool is deferred for it
+        assert not [action for command in cli._build_parser().commands.values()
+                    for action in command._actions
+                    if isinstance(action.default, str) and action.type is not None]
 
     SPECTRUM = ["spectrum", "--model", "two-photon", "--g", "0.3", "--sector", "0+", "--cutoff", "10"]
 
@@ -812,7 +841,7 @@ class TestDispatch:
 
 
 class TestEveryOptionIsRead:
-    """Each option a subcommand's parser defines is one its command reads."""
+    """Each option a subcommand's parser defines is read, by its command or by main's output."""
 
     CALLS = (
         ["classify", "--model", "two-photon", "--g", "0.3"],
@@ -834,10 +863,10 @@ class TestEveryOptionIsRead:
                     return super().__getattribute__(name)
 
             args = cli._build_parser().commands[argv[0]].parse_args(argv[1:], namespace=Spy())
-            command = args.fn
             read.clear()  # argparse reads the namespace while it fills it
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert command(args) == 0, argv
+            # main runs the command on this namespace and writes its rows
+            with mock.patch.object(cli, "_read", lambda command, tokens: args):
+                assert run_main(argv)[0] == 0, argv
             assert set(vars(args)) - {"fn"} - read == set(), argv
 
 
@@ -958,9 +987,11 @@ class TestSizeLimitMemory:
     141 MB and the spectrum (10^6 rows) at 100 MB; they now take about 81
     and 70 MB (x86-64 Linux, numpy 2.4).  The edge ladder to 10^6 rows takes
     about 77 MB and verify-decomp's dense 4000 x 4000 matrix about 282 MB.
+    params over 4 sectors x 2 x 10^5 indices took 283 MB while its CSV text
+    was built whole; written row by row it takes about 60 MB.
     """
 
-    # bounds about 20-25 MB over today's peaks (collapse and spectrum: below their earlier ones)
+    # bounds about 20-30 MB over today's peaks (collapse and spectrum: below their earlier ones)
     @pytest.mark.parametrize("argv, last_row, mb", [
         (["collapse", "--model", "two-photon", "--delta", "1", "--grid", "0.3,0.4",
           "--cutoff", "500000", "-k", "15"], "0.4,1.182342006662102,0.911600897215919", 120),
@@ -970,7 +1001,9 @@ class TestSizeLimitMemory:
           "--cutoffs", "500000,1000000"], "1000000,1424,0", 100),
         (["verify-decomp", "--model", "two-photon", "--g", "0.7", "--delta", "1.3",
           "--cutoff", "2000"], "2000,0.0,0.0,0.0,0.0", 305),
-    ], ids=["collapse", "spectrum", "edge", "verify-decomp"])
+        (["params", "--model", "two-photon", "--g", "0.3", "--sector", "all",
+          "--n", "0..199999"], "two-photon,1+,199999,120000.14999990624,399999.0", 90),
+    ], ids=["collapse", "spectrum", "edge", "verify-decomp", "params"])
     def test_peak_rss(self, argv, last_row, mb):
         run = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "rabi_spectra",
                               *argv], capture_output=True, text=True)
