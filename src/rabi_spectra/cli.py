@@ -8,8 +8,9 @@ Each ``cmd_*`` validates and computes, then returns ``(meta, header,
 rows)`` with ``rows`` any iterable; ``main`` alone writes them, to stdout
 or ``--out``, and maps errors to exit codes.  A command runs every check
 before it returns, so its rows cannot fail and a nonzero exit prints
-nothing.  CSV rows are written as they are produced (``params`` forms one
-sector's Python floats at a time); JSON is written whole.
+nothing.  Rows are written as they are produced (``params`` forms one
+sector's Python floats at a time): CSV row by row, JSON a batch of rows at
+a time, with the bytes of ``json.dumps(payload, indent=2)``.
 
 Exit codes: 0 success, 1 usage or parameter-validation errors, results
 float64 cannot hold (a trace, indicator, a(n), b(n) or decomposition
@@ -31,6 +32,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import re
@@ -60,6 +62,7 @@ from .models import (
     sectors,
 )
 from .spectra import collapse_scan, edge_density, spectrum_scan
+from .tridiag import sturm_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,6 +82,12 @@ MAX_PARAMS_ROWS = 1_000_000
 MAX_CUTOFF = 1_000_000
 # verify-decomp builds a dense (2 cutoff) x (2 cutoff) matrix
 MAX_DENSE_CUTOFF = 2_000
+# spectrum's section rows x eigenvalues in the window, summed over the sectors
+# (a full spectrum of 10^4 rows takes about 4 s)
+MAX_SPECTRUM_WORK = 100_000_000
+# JSON rows dumped per call: bounds the text held at once, and spreads the
+# encoder's per-call cost (a dump per row took 1.3x the whole payload's time)
+_JSON_BATCH = 256
 
 _MODELS = {cls.name: cls for cls in MODEL_TYPES}
 # params evaluates its indices as int64
@@ -290,13 +299,40 @@ def cmd_params(args: argparse.Namespace) -> tuple[dict, list[str], Iterator[list
     return {**_model_meta(model), "n": args.n}, ["model", "sector", "n", "a", "b"], rows
 
 
+def _check_spectrum_work(model: ModelSpec, labels, cutoff: int, window) -> None:
+    """Refuse a spectrum whose rows x eigenvalues, summed over the sectors, is above the limit.
+
+    A section holds at most ``cutoff`` eigenvalues, so a window is counted,
+    by two Sturm counts per sector, only where the sections could exceed
+    the limit; an empty window counts 0 or less.  A cutoff below 2 and a
+    window that is not finite are ``spectrum_scan``'s to refuse.
+    """
+    if cutoff < 2 or len(labels) * cutoff * cutoff <= MAX_SPECTRUM_WORK:
+        return
+    eigenvalues = len(labels) * cutoff
+    if window is not None:
+        if not all(map(math.isfinite, window)):
+            return
+        eigenvalues = 0
+        for sector in labels:
+            section = jacobi_params(model, sector).truncation(cutoff)
+            eigenvalues += sturm_count(section, window[1]) - sturm_count(section, window[0])
+    if cutoff * eigenvalues > MAX_SPECTRUM_WORK:
+        raise ValueError(
+            f"--cutoff {cutoff} rows x {eigenvalues} eigenvalues = {cutoff * eigenvalues} "
+            f"is above the limit of {MAX_SPECTRUM_WORK}"
+        )
+
+
 def cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     _check_cutoff(args.cutoff)
     model = _build_model(args)
     window = (args.window[0], args.window[1]) if args.window else None
+    labels = _select_sectors(model, args.sector)
+    _check_spectrum_work(model, labels, args.cutoff, window)
     header = ["model", "sector", "index", "eigenvalue"]
     rows = []
-    for sector in _select_sectors(model, args.sector):
+    for sector in labels:
         params = jacobi_params(model, sector)
         spec = spectrum_scan(params, args.cutoff, window=window, tol=args.tol)
         label = str(sector)
@@ -507,6 +543,23 @@ def _read(command: argparse.ArgumentParser, tokens: Sequence[str]) -> argparse.N
     return namespace
 
 
+def _write_json(out, meta: dict, header: list[str], rows) -> None:
+    """``json.dumps({"meta": meta, "rows": [...]}, indent=2) + "\n"``, written in batches of rows.
+
+    Each batch is dumped as a list of row objects and indented to its place
+    in the payload's list, so only ``_JSON_BATCH`` rows' text is held at once.
+    """
+    encoder = json.JSONEncoder(indent=2)
+    # the payload with no rows ends '"rows": []\n}': write it through the '['
+    out.write(encoder.encode({"meta": meta, "rows": []})[:-3])
+    rows, sep = iter(rows), "\n"
+    while batch := [dict(zip(header, row)) for row in itertools.islice(rows, _JSON_BATCH)]:
+        # '[\n  {...},\n  {...}\n]' without its brackets, two spaces deeper
+        out.write(sep + "  " + encoder.encode(batch)[2:-2].replace("\n", "\n  "))
+        sep = ",\n"
+    out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -532,8 +585,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # meta): json and csv write a float by repr and a None cell as null / ""
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             if args.format == "json":
-                rows = [dict(zip(header, row)) for row in rows]
-                out.write(json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n")
+                _write_json(out, meta, header, rows)
             else:
                 out.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
                 writer = csv.writer(out, lineterminator="\n")

@@ -387,12 +387,16 @@ class JacobiParams:
         return self.modulation.b(n)
 
     def truncation(self, n_max: int) -> SymTridiag:
-        """Leading n_max x n_max finite section, its entries those of ``a`` and ``b``
-        bit for bit (``PeriodicModulation.leading`` builds them per residue class)."""
+        """Leading n_max x n_max finite section, entries b(0 .. n_max - 1) and a(0 .. n_max - 2).
+
+        An entry that overflows is inf, without a warning: ``SymTridiag`` rejects it.
+        """
         n_max = int(n_max)
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        return SymTridiag(*self.modulation.leading(n_max))
+        n = np.arange(n_max)
+        with np.errstate(over="ignore"):
+            return SymTridiag(self.b(n), self.a(n[:-1]))
 
 
 def jacobi_params(model: ModelSpec, sector: SectorLabel) -> JacobiParams:

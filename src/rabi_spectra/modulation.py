@@ -93,36 +93,12 @@ class PeriodicModulation:
 
     def a(self, n):
         """Off-diagonal rule a_n = alpha_(n mod N) sqrt((n + t)(n + s))."""
-        return self._a(np.asarray(n, dtype=np.int64) % self.period, self.sqrt_growth(n))
+        return self.alpha[np.asarray(n, dtype=np.int64) % self.period] * self.sqrt_growth(n)
 
     def b(self, n):
         """Diagonal rule b_n = beta_(n mod N) n + gamma_(n mod N)."""
-        return self._b(np.asarray(n, dtype=np.int64) % self.period, np.asarray(n, dtype=float))
-
-    # the closed forms for residues r (an array, or one residue's int), from
-    # the growth factor at the indices and the float indices themselves
-    def _a(self, r, growth):
-        return self.alpha[r] * growth
-
-    def _b(self, r, n):
-        return self.beta[r] * n + self.gamma[r]
-
-    def leading(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """b_0 .. b_(n_max - 1) and a_0 .. a_(n_max - 2), the leading section's entries.
-
-        Each residue class is evaluated on its strided slice of the indices
-        and of one growth factor, with no modulo or gather: the same IEEE
-        operations per entry as ``a`` and ``b``, so the same bits.  An entry
-        that overflows is inf, without a warning: ``SymTridiag`` rejects it.
-        """
-        n, step = np.arange(n_max, dtype=float), self.period
-        b, a = np.empty(n_max), np.empty(n_max - 1)
-        with np.errstate(over="ignore"):
-            growth = self.sqrt_growth(n[:-1])
-            for r in range(step):
-                b[r::step] = self._b(r, n[r::step])
-                a[r::step] = self._a(r, growth[r::step])
-        return b, a
+        r = np.asarray(n, dtype=np.int64) % self.period
+        return self.beta[r] * np.asarray(n, dtype=float) + self.gamma[r]
 
 
 def _transfer_rows(alpha, beta) -> list[tuple]:
@@ -294,29 +270,32 @@ def edge_indicator(
         (s_i / alpha_(i-1)) (1 - sign * M_i[1,1]) - ((x + r_i)/alpha_(i-1)) sign * M_i[2,1]
 
     where M_i is the cyclic monodromy starting at step i and sign is the
-    trace sign.  ``mono`` is ``monodromy(mod, ...)``: its matrix is M_0, so
-    only the other starts are formed here.  Only defined in the critical
-    phase.
+    trace sign of ``mono``, which is ``monodromy(mod, ...)``.  Only defined
+    in the critical phase.
     """
-    if classify(mono) is not PhaseKind.CRITICAL_HALF_LINE:
-        raise PhaseStateError("edge indicator is defined only in the critical phase")
-    N = mod.period
     s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
-    if s.shape != (N,) or r.shape != (N,):
+    if s.shape != (mod.period,) or r.shape != (mod.period,):
         raise ValueError("limit sequences must have one entry per period step")
-    rows = _transfer_rows(mod.alpha.tolist(), mod.beta.tolist())
-    products = [mono.matrix.tolist(), *(_period_product(rows, i) for i in range(1, N))]
-    terms = _indicator_terms(mono.trace_sign, products, mod.alpha.tolist(), s.tolist(), r.tolist())
-    c1 = float(sum(t for t, _ in terms))
-    c0 = float(sum(c for _, c in terms))
+    alpha, beta = mod.alpha.tolist(), mod.beta.tolist()
+    c1, c0, terms = _indicator_sums(mono, alpha, beta, s.tolist(), r.tolist())
     return EdgeIndicator(c1, c0, tuple(terms))
 
 
-def _indicator_terms(eps: int, products, alpha, s, r) -> list[tuple]:
-    # each start i's (slope, constant) from its cyclic product, in floats or Fractions
-    return [(-eps * x10 / alpha[i - 1],
-             (s[i] / alpha[i - 1]) * (1 - eps * x00) - eps * (r[i] / alpha[i - 1]) * x10)
-            for i, ((x00, _), (x10, _)) in enumerate(products)]
+def _indicator_sums(mono: Monodromy, alpha, beta, s, r) -> tuple:
+    """``edge_indicator``'s (c1, c0, terms) over lists of Python floats or of ``Fraction``s.
+
+    Each start i's (slope, constant) comes from its cyclic product
+    ``_period_product``; the coefficients sum the terms in start order.
+    """
+    if classify(mono) is not PhaseKind.CRITICAL_HALF_LINE:
+        raise PhaseStateError("edge indicator is defined only in the critical phase")
+    rows, eps = _transfer_rows(alpha, beta), mono.trace_sign
+    terms = []
+    for i in range(len(alpha)):
+        (x00, _), (x10, _) = _period_product(rows, i)
+        terms.append((-eps * x10 / alpha[i - 1],
+                      (s[i] / alpha[i - 1]) * (1 - eps * x00) - eps * (r[i] / alpha[i - 1]) * x10))
+    return sum(t for t, _ in terms), sum(c for _, c in terms), terms
 
 
 @dataclass(frozen=True)
@@ -367,23 +346,15 @@ def exact_edge_indicator(mod: PeriodicModulation, mono: Monodromy) -> tuple[Edge
     # (decimal with it) would add about 4 ms to every start-up
     from fractions import Fraction
 
-    if classify(mono) is not PhaseKind.CRITICAL_HALF_LINE:
-        raise PhaseStateError("edge indicator is defined only in the critical phase")
     alpha, beta, gamma = ([Fraction(x) for x in v.tolist()] for v in (mod.alpha, mod.beta, mod.gamma))
     half_ts = (Fraction(mod.t) + Fraction(mod.s)) / 2
-    rows = _transfer_rows(alpha, beta)
     # limit_sequences: s_i = alpha_(i-1) and r_i = (beta_i / 2)(t + s) - gamma_i
     s = alpha[-1:] + alpha[:-1]
     r = [b * half_ts - g for b, g in zip(beta, gamma)]
-    products = [_period_product(rows, i) for i in range(mod.period)]
-    terms = _indicator_terms(mono.trace_sign, products, alpha, s, r)
-    c1, c0 = sum(t for t, _ in terms), sum(c for _, c in terms)
-    if c1 == 0:
-        raise DegenerateIndicatorError(
-            "indicator polynomial has zero slope; its negativity set is not a half-line"
-        )
-    indicator = EdgeIndicator(float(c1), float(c0), tuple((float(t), float(c)) for t, c in terms))
-    return indicator, HalfLine(float(-c0 / c1), "up" if c1 < 0 else "down")
+    c1, c0, terms = _indicator_sums(mono, alpha, beta, s, r)
+    halfline = essential_halfline(EdgeIndicator(c1, c0))
+    terms = tuple((float(t), float(c)) for t, c in terms)
+    return EdgeIndicator(float(c1), float(c0), terms), halfline
 
 
 @dataclass(frozen=True)

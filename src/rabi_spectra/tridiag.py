@@ -216,35 +216,25 @@ class _Stack(tuple):
 
         Row i is dominant at lam where ``_dominant`` holds, which is
         nonincreasing in lam.  Each row's greatest such shift is estimated a
-        few ulps low and checked by that test (-inf where the check fails),
-        and [g, R] is their least over rows R..n - 1, with
-        [g, n] = inf.  Nondecreasing in R, so the dominant suffix at lam
-        starts at row searchsorted([g], lam).  All sections are taken
-        together, (G, rows) blocks of at most ``_BLOCK_ELEMS`` elements at a
-        time, and each row gets ``_dominant``'s IEEE operations: u > 0 on the
-        last row is u >= ulp(0), and row 0 subtracts its q_0 = +0.
+        few ulps below u_i - a_i at lam = 0 (``_row_bounds``; u > 0 on the
+        last row is u >= ulp(0)) and checked by ``_dominant`` at that shift
+        (-inf where the check fails), and [g, R] is their least over rows
+        R..n - 1, with [g, n] = inf.  Nondecreasing in R, so the dominant
+        suffix at lam starts at row searchsorted([g], lam).  Rows are taken
+        ``_BLOCK_ELEMS`` at a time.
         """
-        n, count = self[0].n_max, len(self)
-        table = np.empty((count, n + 1))
-        table[:, n] = np.inf
-        step = max(1, _BLOCK_ELEMS // count)
+        n = self[0].n_max
+        table = np.full((len(self), n + 1), np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n, step):
-                hi = min(n, lo + step)
-                diag = np.array([m.diag[lo:hi] for m in self])
-                # q_i / a_(i-1); row 0 keeps its q_0 = 0
-                sub = np.array([m._off_sq[lo:hi] for m in self])
-                inner = max(lo, 1)
-                sub[:, inner - lo :] /= np.array([m.offdiag[inner - 1 : hi - 1] for m in self])
-                floor = np.array([m.offdiag[lo:hi] for m in self])
-                if hi == n:
-                    floor = np.hstack((floor, np.full((count, 1), math.ulp(0.0))))
-                # u_i - a_i at lam = 0 (diag_i - 0 is diag_i), a few ulps of slack below
-                top = (diag - sub) - floor
-                top -= 4.0 * _EPS * (np.abs(diag) + np.abs(top) + floor)
-                # a row whose estimate fails the test is never taken as dominant
-                top[~((diag - top) - sub >= floor)] = -np.inf
-                table[:, lo:hi] = top
+            for row, m in zip(table[:, :n], self):
+                floor = np.append(m.offdiag, math.ulp(0.0))
+                for lo in range(0, n, _BLOCK_ELEMS):
+                    rows = slice(lo, lo + _BLOCK_ELEMS)
+                    top = _row_bounds(m, 0.0, rows) - floor[rows]
+                    top -= 4.0 * _EPS * (np.abs(m.diag[rows]) + np.abs(top) + floor[rows])
+                    # a row whose estimate fails the test is never taken as dominant
+                    top[~_dominant(m, top, rows)] = -np.inf
+                    row[rows] = top
         suffix = table[:, n - 1 :: -1]
         np.minimum.accumulate(suffix, axis=1, out=suffix)
         table.setflags(write=False)

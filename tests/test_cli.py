@@ -171,6 +171,44 @@ class TestSpectrum:
         assert (code, out) == (1, "") and "sqrt(float max)" in err
         assert len(err.splitlines()) == 1
 
+    def test_work_above_the_limit_exits_one_before_any_section(self, monkeypatch):
+        # 10^6 rows x 10^6 eigenvalues would bisect for hours
+        built = []
+        monkeypatch.setattr(cli, "jacobi_params", lambda *args: built.append(args))
+        code, out, err = run_main(["spectrum", "--model", "two-photon", "--g", "0.3",
+                                   "--sector", "0+", "--cutoff", "1000000"])
+        assert (code, out, built) == (1, "", [])
+        assert err == (f"rabi-spectra: error: --cutoff 1000000 rows x 1000000 eigenvalues = "
+                       f"{10**12} is above the limit of {cli.MAX_SPECTRUM_WORK}\n")
+
+    @pytest.mark.parametrize("sector, cutoff, eigenvalues", [
+        ("0+", 20, 20), ("0+", 21, 21), ("all", 10, 40), ("all", 11, 44)])
+    def test_full_spectrum_work_is_rows_times_rows(self, monkeypatch, sector, cutoff, eigenvalues):
+        monkeypatch.setattr(cli, "MAX_SPECTRUM_WORK", 400)
+        code, out, err = run_main(["spectrum", "--model", "two-photon", "--g", "0.3",
+                                   "--sector", sector, "--cutoff", str(cutoff)])
+        if cutoff * eigenvalues <= 400:
+            assert code == 0 and len(out.splitlines()) == 2 + eigenvalues
+        else:
+            assert (code, out) == (1, "")
+            assert err == (f"rabi-spectra: error: --cutoff {cutoff} rows x {eigenvalues} "
+                           f"eigenvalues = {cutoff * eigenvalues} is above the limit of 400\n")
+
+    def test_window_is_counted_against_the_limit(self, monkeypatch):
+        argv = ["spectrum", "--model", "two-photon", "--g", "0.3", "--delta", "1",
+                "--sector", "all", "--cutoff", "40", "--window", "-2", "10"]
+        code, printed, err = run_main(argv)
+        count = len(printed.splitlines()) - 2
+        assert code == 0 and 0 < count < 4 * 40
+        # below 4 x 40^2, where the window must be counted
+        monkeypatch.setattr(cli, "MAX_SPECTRUM_WORK", 40 * count)
+        assert run_main(argv) == (0, printed, "")
+        monkeypatch.setattr(cli, "MAX_SPECTRUM_WORK", 40 * count - 1)
+        code, out, err = run_main(argv)
+        assert (code, out) == (1, "")
+        assert err == (f"rabi-spectra: error: --cutoff 40 rows x {count} eigenvalues = "
+                       f"{40 * count} is above the limit of {40 * count - 1}\n")
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
     def test_bad_tol_is_exit_one(self, tol):
         # an infinite tol used to print every eigenvalue as the window midpoint
@@ -300,6 +338,36 @@ class TestJsonMatchesCsv:
         rows = list(csv.reader(io.StringIO(body)))
         assert rows[0] == list(payload["rows"][0])
         assert rows[1:] == [[self.text(v) for v in row.values()] for row in payload["rows"]]
+
+
+class TestStreamedJson:
+    """JSON is written a batch of rows at a time, with the bytes of the payload dumped whole."""
+
+    META = {"command": "params", "text": 'a "quoted"\\ line\n\u00e9', "z": -0.0}
+    HEADER = ["model", "sector", "n", "a", "b"]
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [["two-photon", "0+", 0, 0.5, None]],
+        [["x", "\t\u2603", -1, float("nan"), float("inf")], [None, "", 2**70, -0.0, -float("inf")]],
+        [["two-photon", "1-", n, n / 3, -n * 1e300] for n in range(2 * cli._JSON_BATCH + 1)],
+        [["two-photon", "1-", n, n / 7, 2.0 * n] for n in range(cli._JSON_BATCH)],
+    ], ids=["empty", "one", "special-values", "batches-and-one", "one-batch"])
+    def test_bytes_equal_the_whole_payload(self, rows):
+        out = io.StringIO()
+        cli._write_json(out, self.META, self.HEADER, iter(rows))
+        payload = {"meta": self.META, "rows": [dict(zip(self.HEADER, row)) for row in rows]}
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "two-photon", "--g", "0.3", "--cutoff", "10", "--window", "5", "5"],
+        ["params", "--model", "two-photon", "--g", "0.3", "--n", "0..600"],
+        ["classify", "--model", "two-photon", "--g", "0.5", "--delta", "1"],
+    ], ids=["no-rows", "params", "classify"])
+    def test_commands_print_the_whole_payload_bytes(self, argv):
+        code, out, err = run_main([*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestExitCodesAndDeterminism:
@@ -988,7 +1056,8 @@ class TestSizeLimitMemory:
     and 70 MB (x86-64 Linux, numpy 2.4).  The edge ladder to 10^6 rows takes
     about 77 MB and verify-decomp's dense 4000 x 4000 matrix about 282 MB.
     params over 4 sectors x 2 x 10^5 indices took 283 MB while its CSV text
-    was built whole; written row by row it takes about 60 MB.
+    was built whole; written row by row it takes about 60 MB.  As JSON it
+    took 1,157 MB formed whole; written a batch of rows at a time, about 57 MB.
     """
 
     # bounds about 20-30 MB over today's peaks (collapse and spectrum: below their earlier ones)
@@ -1003,12 +1072,16 @@ class TestSizeLimitMemory:
           "--cutoff", "2000"], "2000,0.0,0.0,0.0,0.0", 305),
         (["params", "--model", "two-photon", "--g", "0.3", "--sector", "all",
           "--n", "0..199999"], "two-photon,1+,199999,120000.14999990624,399999.0", 90),
-    ], ids=["collapse", "spectrum", "edge", "verify-decomp", "params"])
+        (["params", "--model", "two-photon", "--g", "0.3", "--sector", "all",
+          "--n", "0..199999", "--format", "json"],
+         '      "a": 120000.14999990624,\n      "b": 399999.0\n    }\n  ]\n}', 90),
+    ], ids=["collapse", "spectrum", "edge", "verify-decomp", "params", "params-json"])
     def test_peak_rss(self, argv, last_row, mb):
         run = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "rabi_spectra",
                               *argv], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == last_row
+        tail = last_row.split("\n")
+        assert run.stdout.splitlines()[-len(tail):] == tail
         # ru_maxrss is in KiB on Linux and in bytes on macOS
         peak = int(run.stderr.splitlines()[-1]) * (1 if sys.platform == "darwin" else 1024)
         assert peak <= mb * 2**20

@@ -132,13 +132,13 @@ class TestJacobiParams:
             assert m.offdiag.tobytes() == params.a(idx[:-1]).tobytes()
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 1000, 20001])
-    def test_period_three_leading_entries_are_the_rules(self, n_max):
+    def test_period_three_truncation_entries_are_the_rules(self, n_max):
+        # a(n) and b(n) called once per index, against the section built from index arrays
         mod = PeriodicModulation(alpha=(0.3, 1.7, 0.9), beta=(1.0, -2.5, 0.1),
                                  gamma=(0.25, -1.0 / 3.0, 7.0), t=0.7, s=2.9)
-        b, a = mod.leading(n_max)
-        idx = np.arange(n_max)
-        assert b.tobytes() == mod.b(idx).tobytes()
-        assert a.tobytes() == mod.a(idx[:-1]).tobytes()
+        m = models.JacobiParams(mod, SectorLabel(1), None).truncation(n_max)
+        assert m.diag.tolist() == [float(mod.b(n)) for n in range(n_max)]
+        assert m.offdiag.tolist() == [float(mod.a(n)) for n in range(n_max - 1)]
 
     def test_closed_forms_match_modulated_forms(self):
         # the evaluable rules are the modulated forms; the per-model closed

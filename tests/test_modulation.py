@@ -39,6 +39,7 @@ from rabi_spectra.models import (
     jacobi_params,
     sectors,
 )
+from rabi_spectra.modulation import exact_edge_indicator
 
 
 def period2(alpha, beta, gamma=(0.0, 0.0), t=1.0, s=1.0) -> PeriodicModulation:
@@ -445,6 +446,34 @@ class TestEdgeIndicator:
         ind = edge_indicator(mod, mono, *limit_sequences(mod))
         assert sum(t for t, _ in ind.terms) == pytest.approx(ind.c1, abs=1e-14)
         assert sum(c for _, c in ind.terms) == pytest.approx(ind.c0, abs=1e-14)
+
+    @given(
+        st.integers(1, 4).flatmap(lambda N: st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-8, 8), st.integers(-8, 8)),
+            min_size=N, max_size=N)),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exact_sum_is_the_float_sum_on_dyadic_data(self, steps, t, s, eps):
+        # alpha powers of two, beta, gamma, t and s multiples of 1/4: every
+        # product, quotient and sum the float indicator takes is exact, so
+        # the Fraction one must give its numbers term for term
+        mod = PeriodicModulation(alpha=[2.0**k for k, _, _ in steps],
+                                 beta=[b / 4 for _, b, _ in steps],
+                                 gamma=[g / 4 for _, _, g in steps], t=t / 4, s=s / 4)
+        mono = replace(monodromy(mod), trace_sign=eps, critical_trace=2.0 * eps,
+                       diagonalizable_at_pm2=False)
+        ind = edge_indicator(mod, mono, *limit_sequences(mod))
+        if ind.c1 == 0.0:
+            with pytest.raises(DegenerateIndicatorError, match="zero slope"):
+                exact_edge_indicator(mod, mono)
+            return
+        exact, halfline = exact_edge_indicator(mod, mono)
+        assert exact.terms == ind.terms
+        assert (exact.c1, exact.c0) == (ind.c1, ind.c0)
+        assert halfline == essential_halfline(ind)
 
 
 class TestEssentialHalfline:

@@ -1386,9 +1386,9 @@ class TestDominanceCertificate:
     )
     @settings(max_examples=150, deadline=None)
     def test_stacked_thresholds_are_each_sections_own(self, kind, n, sections, block, seed):
-        # G sections are built together in (G, rows) blocks; each section's
-        # table must be the one it gets alone, bit for bit, and equal the
-        # per-row estimate redone in Python floats
+        # each section's rows are built in blocks of _BLOCK_ELEMS; each
+        # section's table must be the one it gets alone, bit for bit, and
+        # equal the per-row estimate redone in Python floats
         rng = np.random.default_rng(seed)
         ms = [_dominance_section(kind, n, rng) for _ in range(sections)]
         with pytest.MonkeyPatch.context() as mp:
